@@ -181,7 +181,9 @@ def gamma_confidence(
     level: float = 0.95,
 ) -> tuple[float, float]:
     """Symmetric t-interval for gamma from the regression slope standard error."""
-    from scipy import stats  # deferred: only the certifier needs scipy
+    # deferred: only fits need scipy; scipy.special imports in under half the
+    # time scipy.stats takes
+    from scipy.special import stdtrit
 
     n = len(points)
     if n < 3:
@@ -194,7 +196,7 @@ def gamma_confidence(
     dof = n - 2
     s2 = float(np.sum(resid * resid)) / dof
     se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
-    tq = float(stats.t.ppf(0.5 + level / 2.0, dof))
+    tq = float(stdtrit(dof, 0.5 + level / 2.0))
     return (profile.gamma - tq * se, profile.gamma + tq * se)
 
 
@@ -259,12 +261,15 @@ def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
     """Deduplicated floor(n0 * ratio^j) while <= max_n (may be empty)."""
     if n0 < 1:
         raise DomainError("n0 must be >= 1")
-    if ratio <= 1.0:
+    if not ratio > 1.0:  # also rejects NaN
         raise DomainError("ratio must be > 1")
     out: list[int] = []
     j = 0
     while True:
-        v = int(n0 * ratio**j)
+        try:
+            v = int(n0 * ratio**j)
+        except OverflowError:
+            raise DomainError("checkpoint schedule leaves the float range") from None
         if v > max_n:
             break
         if not out or v != out[-1]:
@@ -293,31 +298,48 @@ _NOTES = {
 }
 
 
-def _sieve_counts(source: str, config: CertifyConfig):
-    build = numtheory.sieve_s2_additive if source == "s2" else numtheory.sieve_s2_nonzero
-    table = build(config.max_n, mem_budget=config.mem_budget)
+def resolve_source(source: str) -> tuple[str | None, Path | None]:
+    """(sieve key, None) or (None, morphism file) for a source kind.
+
+    The kinds are s2, s2nz (also spelled s2_nonzero) and morphic:<file>; the
+    sieve keys are "s2" and "s2_nonzero". Any other kind raises DomainError.
+    """
+    if source == "s2":
+        return "s2", None
+    if source in ("s2nz", "s2_nonzero"):
+        return "s2_nonzero", None
+    if source.startswith("morphic:"):
+        return None, Path(source[len("morphic:"):])
+    raise DomainError(f"unknown source {source!r}")
+
+
+def sieve_table(key: str, limit: int, mem_budget: int) -> numtheory.SieveTable:
+    """The membership table of a resolved sieve key over 0..limit."""
+    # looked up per call, so a replaced numtheory function is the one that runs
+    build = numtheory.sieve_s2_additive if key == "s2" else numtheory.sieve_s2_nonzero
+    return build(limit, mem_budget=mem_budget)
+
+
+def _sieve_counts(key: str, config: CertifyConfig):
+    if config.symbol is not None:
+        raise DomainError(f"a symbol applies only to morphic sources, not to {key!r}")
+    table = sieve_table(key, config.max_n, config.mem_budget)
     cps = geometric_checkpoints(config.n0, config.ratio, config.max_n)
     series = numtheory.count_series(table, cps)
     return series.entries, None, None
 
 
-def _morphic_counts(path: str, config: CertifyConfig):
-    system = words.parse_morphism_file(Path(path))
+def _morphic_counts(path: Path, config: CertifyConfig):
+    system = words.parse_morphism_file(path)
     symbol = config.symbol if config.symbol is not None else system.coding[system.start]
     targets = system.letters_for(symbol)
-    M = spectral.incidence_matrix(system.morphism)
-    d = M.d
-    rows = M.entries
-    c = [0] * d
-    c[system.start] = 1
+    rows = spectral.incidence_matrix(system.morphism).entries
     entries: list[tuple[int, int]] = []
-    while True:
+    for c in words.count_vectors(rows, bytes([system.start])):
         n_k = sum(c)
         if n_k > config.max_n:
             break
-        cnt = sum(c[t] for t in targets)
-        entries.append((n_k, cnt))
-        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
+        entries.append((n_k, sum(c[t] for t in targets)))
     growth = spectral.growth_class(system.morphism, system.start)
     letter_growth = spectral.symbol_growth_class(system, symbol)
     return tuple(entries), growth, letter_growth
@@ -326,19 +348,14 @@ def _morphic_counts(path: str, config: CertifyConfig):
 def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
     """Full pipeline: counts at checkpoints, both fits, margin selection, verdict."""
     config = config or CertifyConfig()
-    if source in ("s2", "s2_nonzero", "s2nz"):
-        key = "s2" if source == "s2" else "s2_nonzero"
+    key, path = resolve_source(source)
+    morphic = path is not None
+    if morphic:
+        checkpoints, growth, letter_growth = _morphic_counts(path, config)
+        sequence_id = source
+    else:
         checkpoints, growth, letter_growth = _sieve_counts(key, config)
         sequence_id = key
-        morphic = False
-    elif source.startswith("morphic:"):
-        checkpoints, growth, letter_growth = _morphic_counts(
-            source[len("morphic:"):], config
-        )
-        sequence_id = source
-        morphic = True
-    else:
-        raise DomainError(f"unknown source {source!r}")
 
     # checkpoint index k: morphic sources carry the true iteration number
     # (Cor.-style counts live along it); sieve checkpoints have no intrinsic

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -97,21 +98,20 @@ def cmd_morphism_iterate(args) -> int:
     return EXIT_OK
 
 
-def _sieve_table(kind: str, limit: int, budget: int) -> numtheory.SieveTable:
-    if kind == "s2":
-        return numtheory.sieve_s2_additive(limit, mem_budget=budget)
-    return numtheory.sieve_s2_nonzero(limit, mem_budget=budget)
+def _resolve(kind: str, flag: str) -> tuple[str | None, Path | None]:
+    try:
+        return certify.resolve_source(kind)
+    except DomainError:
+        raise _UsageError(f"unknown {flag} {kind!r}") from None
 
 
 def cmd_seq_gen(args) -> int:
     budget = _mem_budget()
-    kind = args.kind
-    if kind in ("s2", "s2nz", "s2_nonzero"):
-        key = "s2" if kind == "s2" else "s2nz"
-        table = _sieve_table(key, args.N, budget)
-        bits = table.bits
-    elif kind.startswith("morphic:"):
-        system = words.parse_morphism_file(Path(kind[len("morphic:"):]))
+    key, path = _resolve(args.kind, "--kind")
+    if key is not None:
+        bits = certify.sieve_table(key, args.N, budget).bits
+    else:
+        system = words.parse_morphism_file(path)
         symbols = words.fixed_point_stream(system, args.N)
         if args.format == "ascii":
             sys.stdout.write("".join(symbols) + "\n")
@@ -121,8 +121,6 @@ def cmd_seq_gen(args) -> int:
         bits = np.frombuffer(
             bytes(1 if s == "1" else 0 for s in symbols), dtype=np.uint8
         )
-    else:
-        raise _UsageError(f"unknown --kind {kind!r}")
     if args.format == "ascii":
         sys.stdout.write((bits + ord("0")).astype(np.uint8).tobytes().decode("ascii"))
         sys.stdout.write("\n")
@@ -143,6 +141,8 @@ def _parse_schedule(text: str) -> tuple[int, float, int]:
         max_n = int(parts[3])
     except ValueError:
         raise _UsageError("--checkpoints must look like geo:<N0>:<ratio>:<max>") from None
+    if not math.isfinite(ratio):
+        raise _UsageError("--checkpoints ratio must be finite")
     return n0, ratio, max_n
 
 
@@ -150,17 +150,16 @@ def cmd_seq_count(args) -> int:
     budget = _mem_budget()
     n0, ratio, max_n = _parse_schedule(args.checkpoints)
     cps = certify.geometric_checkpoints(n0, ratio, max_n)
-    kind = args.kind
-    if kind in ("s2", "s2nz", "s2_nonzero"):
-        key = "s2" if kind == "s2" else "s2nz"
-        table = _sieve_table(key, max_n, budget)
+    key, path = _resolve(args.kind, "--kind")
+    if key is not None:
+        if args.symbol is not None:
+            raise DomainError("--symbol applies only to morphic kinds")
+        table = certify.sieve_table(key, max_n, budget)
         entries = numtheory.count_series(table, cps).entries
-    elif kind.startswith("morphic:"):
-        system = words.parse_morphism_file(Path(kind[len("morphic:"):]))
+    else:
+        system = words.parse_morphism_file(path)
         symbol = args.symbol if args.symbol is not None else system.coding[system.start]
         entries = words.prefix_count_series(system, symbol, cps)
-    else:
-        raise _UsageError(f"unknown --kind {kind!r}")
     lines = ["N,B"] + [f"{n},{b}" for n, b in entries]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -216,16 +215,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    source = args.source
-    known = source in ("s2", "s2nz", "s2_nonzero") or source.startswith("morphic:")
-    if not known:
-        raise _UsageError(f"unknown --source {source!r}")
+    _resolve(args.source, "--source")
     config = certify.CertifyConfig(
         max_n=args.N,
         symbol=args.symbol,
         mem_budget=_mem_budget(),
     )
-    report = certify.certify_nonmorphic(source, config)
+    report = certify.certify_nonmorphic(args.source, config)
     text = _dumps(report.to_json_dict())
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")

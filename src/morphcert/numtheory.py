@@ -59,34 +59,29 @@ class LrEstimate:
     tail_bound: float | None = None
 
 
-def sieve_s2_additive(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
-    """bit(n) = 1 iff n = x^2 + y^2 for some 0 <= x <= y."""
+def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:
+    """bit(n) = 1 iff n = x^2 + y^2 for some x0 <= x <= y, by additive marking."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    _check_budget(N + 1 + 16 * math.isqrt(N + 1), mem_budget, "additive s2 sieve")
+    _check_budget(N + 1 + 16 * math.isqrt(N + 1), mem_budget, f"{kind} sieve")
     bits = np.zeros(N + 1, dtype=np.uint8)
-    x = 0
+    x = x0
     while 2 * x * x <= N:
         ymax = math.isqrt(N - x * x)
         y = np.arange(x, ymax + 1, dtype=np.int64)
         bits[x * x + y * y] = 1
         x += 1
-    return SieveTable(N, bits, KIND_S2_ADDITIVE)
+    return SieveTable(N, bits, kind)
+
+
+def sieve_s2_additive(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
+    """bit(n) = 1 iff n = x^2 + y^2 for some 0 <= x <= y."""
+    return _sieve_s2(N, 0, KIND_S2_ADDITIVE, mem_budget)
 
 
 def sieve_s2_nonzero(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
     """bit(n) = 1 iff n = x^2 + y^2 for some 1 <= x <= y."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
-    _check_budget(N + 1 + 16 * math.isqrt(N + 1), mem_budget, "nonzero s2 sieve")
-    bits = np.zeros(N + 1, dtype=np.uint8)
-    x = 1
-    while 2 * x * x <= N:
-        ymax = math.isqrt(N - x * x)
-        y = np.arange(x, ymax + 1, dtype=np.int64)
-        bits[x * x + y * y] = 1
-        x += 1
-    return SieveTable(N, bits, KIND_S2_NONZERO)
+    return _sieve_s2(N, 1, KIND_S2_NONZERO, mem_budget)
 
 
 def spf_sieve(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> np.ndarray:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _letter_index
+from .words import Morphism, MorphicSystem, _letter_index, count_matrix, count_vectors
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12
@@ -44,10 +45,7 @@ class IncidenceMatrix:
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
     _check_dim(m)
-    entries = tuple(
-        tuple(img.count(i) for img in m.images) for i in range(m.d)
-    )
-    return IncidenceMatrix(m.d, entries)
+    return IncidenceMatrix(m.d, count_matrix(m))
 
 
 def _mat_mul(a, b, d):
@@ -78,15 +76,8 @@ def matrix_power_count(M: IncidenceMatrix, k: int, source: int, target: int) -> 
 
 def count_vector_series(M: IncidenceMatrix, source: int, kmax: int) -> list[tuple[int, ...]]:
     """c_k with c_k[t] = |phi^k(a_source)|_{a_t} for k = 0..kmax (exact)."""
-    d = M.d
-    c = [0] * d
-    c[source] = 1
-    out = [tuple(c)]
-    rows = M.entries
-    for _ in range(kmax):
-        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
-        out.append(tuple(c))
-    return out
+    vectors = count_vectors(M.entries, bytes([source]))
+    return [tuple(c) for c in islice(vectors, kmax + 1)]
 
 
 @dataclass(frozen=True)
@@ -135,10 +126,6 @@ def perron_value(sub: Sequence[Sequence[float]]) -> float:
     raise NonConvergence(
         f"power iteration missed tolerance {PERRON_TOL} after {PERRON_MAX_ITER} iterations"
     )
-
-
-def _component_submatrix(m: Morphism, letters: tuple[int, ...]) -> list[list[int]]:
-    return [[m.images[s].count(t) for s in letters] for t in letters]
 
 
 def _cyclicity_of(succ: Mapping[int, list[int]], letters: tuple[int, ...]) -> int:
@@ -199,8 +186,11 @@ def scc_dag(m: Morphism, root) -> ComponentDag:
         for u in reach for v in succ[u]
         if comp_of[u] != comp_of[v]
     })
+    rows = count_matrix(m)
     components = tuple(
-        Component(c, perron_value(_component_submatrix(m, c)), _cyclicity_of(succ, c))
+        Component(
+            c, perron_value([[rows[t][s] for s in c] for t in c]), _cyclicity_of(succ, c)
+        )
         for c in comps
     )
     return ComponentDag(components, tuple(edges), comp_of, comp_of[r])
@@ -315,15 +305,8 @@ def _eventually_zero(M: IncidenceMatrix, source: int, target: int) -> bool:
     occurrence path of length >= 2d repeats a letter and can be pumped down
     into the window.
     """
-    d = M.d
-    rows = M.entries
-    c = [0] * d
-    c[source] = 1
-    for k in range(1, 2 * d):
-        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
-        if k >= d and c[target] != 0:
-            return False
-    return True
+    window = islice(count_vectors(M.entries, bytes([source])), M.d, 2 * M.d)
+    return all(c[target] == 0 for c in window)
 
 
 def letter_growth_class(m: Morphism, a, b) -> LetterGrowthClass:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -189,9 +190,22 @@ class CheckpointSeries:
         return [n for _, n in self.entries]
 
 
-def _count_matrix(m: Morphism) -> list[list[int]]:
-    # entry [t][s] = occurrences of letter t in the image of letter s
-    return [[img.count(t) for img in m.images] for t in range(m.d)]
+def count_matrix(m: Morphism) -> tuple[tuple[int, ...], ...]:
+    """rows[t][s] = occurrences of letter t in the image of letter s."""
+    return tuple(tuple(img.count(t) for img in m.images) for t in range(m.d))
+
+
+def count_vectors(rows: Sequence[Sequence[int]], w: Word) -> Iterator[list[int]]:
+    """Exact letter counts of w, phi(w), phi^2(w), ... without building the words.
+
+    rows is count_matrix(m) of the morphism phi. The stream is endless, so
+    callers bound it; each vector is a fresh list.
+    """
+    d = len(rows)
+    c = [w.count(t) for t in range(d)]
+    while True:
+        yield c
+        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
 
 
 def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP) -> Word:
@@ -203,16 +217,12 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     if k == 0:
         return w
     # predict lengths exactly before building anything
-    lengths = [len(img) for img in m.images]
-    counts = [w.count(i) for i in range(m.d)]
-    cm = _count_matrix(m)
-    for _ in range(k):
-        total = sum(c * L for c, L in zip(counts, lengths))
+    for counts in islice(count_vectors(count_matrix(m), w), 1, k + 1):
+        total = sum(counts)
         if total > max_len:
             raise ResourceError(
                 f"iterate would produce {total} letters (cap {max_len})"
             )
-        counts = [sum(row[s] * counts[s] for s in range(m.d)) for row in cm]
     cur = w
     images = m.images
     for _ in range(k):
@@ -224,15 +234,10 @@ def checkpoints(sys: MorphicSystem, kmax: int) -> CheckpointSeries:
     """Exact N_k = |phi^k(start)| for k = 0..kmax via big-integer count vectors."""
     if kmax < 0:
         raise DomainError("kmax must be >= 0")
-    m = sys.morphism
-    cm = _count_matrix(m)
-    counts = [0] * m.d
-    counts[sys.start] = 1
-    out = [(0, 1)]
-    for k in range(1, kmax + 1):
-        counts = [sum(row[s] * counts[s] for s in range(m.d)) for row in cm]
-        out.append((k, sum(counts)))
-    return CheckpointSeries(tuple(out))
+    vectors = count_vectors(count_matrix(sys.morphism), bytes([sys.start]))
+    return CheckpointSeries(tuple(
+        (k, sum(counts)) for k, counts in enumerate(islice(vectors, kmax + 1))
+    ))
 
 
 def _letter_chunks(sys: MorphicSystem) -> Iterator[Word]:

@@ -219,6 +219,10 @@ class TestGeometricCheckpoints:
             geometric_checkpoints(0, 2.0, 100)
         with pytest.raises(DomainError):
             geometric_checkpoints(10, 1.0, 100)
+        with pytest.raises(DomainError):
+            geometric_checkpoints(10, float("nan"), 100)
+        with pytest.raises(DomainError):  # 2.0**1024 leaves the float range
+            geometric_checkpoints(1, 2.0, 10**400)
 
 
 class TestCertifyPipeline:
@@ -283,6 +287,10 @@ class TestCertifyPipeline:
     def test_unknown_source(self):
         with pytest.raises(DomainError):
             certify_nonmorphic("collatz")
+
+    def test_symbol_with_sieve_source(self):
+        with pytest.raises(DomainError):
+            certify_nonmorphic("s2", CertifyConfig(max_n=100, symbol="1"))
 
     def test_deterministic(self):
         a = certify_nonmorphic("s2", CertifyConfig(max_n=2**16))

@@ -143,14 +143,16 @@ class TestSeqCount:
         assert out_other == out_default
 
     def test_bad_schedule(self, capsys):
-        code, _, err = run(
-            capsys, "seq", "count", "--kind", "s2", "--checkpoints", "lin:1:2:3"
-        )
-        assert code == 1
-        code, _, _ = run(
-            capsys, "seq", "count", "--kind", "s2", "--checkpoints", "geo:1:x:3"
-        )
-        assert code == 1
+        cases = [
+            ("lin:1:2:3", 1),
+            ("geo:1:x:3", 1),
+            ("geo:4:nan:64", 1),
+            ("geo:4:inf:64", 1),
+            (f"geo:1:2:{10**400}", 2),  # 2.0**1024 leaves the float range
+        ]
+        for schedule, code in cases:
+            got = run(capsys, "seq", "count", "--kind", "s2", "--checkpoints", schedule)[0]
+            assert got == code, schedule
 
 
 class TestFit:
@@ -294,12 +296,17 @@ class TestExitCodes:
         assert run(capsys, "morphism", "analyze", str(tmp_path / "nope.morph"))[0] == 2
 
     def test_unknown_symbol_exit_2(self, capsys):
-        code, _, err = run(
-            capsys, "seq", "count", "--kind", f"morphic:{TM}",
-            "--checkpoints", "geo:4:2:64", "--symbol", "z",
-        )
-        assert code == 2
-        assert "symbol" in err
+        # a sieve source has no symbols, so any --symbol is unknown there
+        for argv in (
+            ["seq", "count", "--kind", f"morphic:{TM}", "--checkpoints", "geo:4:2:64",
+             "--symbol", "z"],
+            ["seq", "count", "--kind", "s2nz", "--checkpoints", "geo:4:2:64",
+             "--symbol", "1"],
+            ["certify", "--source", "s2", "--symbol", "zz"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "symbol" in err
 
     def test_resource_errors_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("MORPH_MEM_MB", "1")
