@@ -121,12 +121,15 @@ def cmd_seq_gen(args) -> int:
         bits = np.frombuffer(
             bytes(1 if s == "1" else 0 for s in symbols), dtype=np.uint8
         )
+    # block by block, so the output costs O(block) beside the table
+    blocks = (bits[lo:lo + numtheory._BLOCK] for lo in range(0, bits.size, numtheory._BLOCK))
     if args.format == "ascii":
-        sys.stdout.write((bits + ord("0")).astype(np.uint8).tobytes().decode("ascii"))
+        for block in blocks:
+            sys.stdout.write((block + ord("0")).tobytes().decode("ascii"))
         sys.stdout.write("\n")
     else:
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        sys.stdout.buffer.write(packed)
+        for block in blocks:
+            sys.stdout.buffer.write(np.packbits(block, bitorder="little").tobytes())
         sys.stdout.buffer.flush()
     return EXIT_OK
 

@@ -21,10 +21,60 @@ KIND_S2_NONZERO = "s2_nonzero"
 
 DEFAULT_MEM_BYTES = 256 * 2**20
 
+# Blockwise passes walk [0, N] in slices of this length, so their transients
+# are O(_BLOCK) whatever N is. A multiple of 8, so packed bit output of whole
+# blocks concatenates to the packing of the whole table.
+_BLOCK = 1 << 16
+# Charged once per call on top of the arrays: object headers, and the small
+# objects a caller holds meanwhile (a checkpoint list, one output block).
+_OVERHEAD = 1 << 18
+
 
 def _check_budget(need: int, budget: int, what: str) -> None:
     if need > budget:
         raise ResourceError(f"{what} needs about {need} bytes, budget is {budget}")
+
+
+def _pi_bound(x: int) -> int:
+    """An upper bound on pi(x), the number of primes <= x.
+
+    Dusart (1998): pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1.
+    """
+    if x < 2:
+        return 0
+    L = math.log(x)
+    return math.ceil(x / L * (1 + 1.2762 / L))
+
+
+def _s2_charge(N: int) -> int:
+    # the byte map and one row of int64 marking indices
+    return N + 1 + 8 * (math.isqrt(N) + 1) + _OVERHEAD
+
+
+def _spf_charge(N: int) -> int:
+    # int32 table, plus the larger of the boolean mask of the p = 2 marking
+    # slice and one block of the prime fix-up (int32 index + mask)
+    return 4 * (N + 1) + max((N + 1) // 2, 5 * min(_BLOCK, N + 1)) + _OVERHEAD
+
+
+def _multiplicative_charge(N: int) -> int:
+    # the spf sieve, then its table beside the int32 index of n = 3 (mod 4),
+    # that index's mask and the int32 primes p = 3 (mod 4)
+    pick = 5 * (N + 1) + (N + 1) // 4 + 1 + 4 * _pi_bound(N) + _OVERHEAD
+    return max(_spf_charge(N), pick)
+
+
+def _euler_charge(P: int) -> int:
+    # the prime mask, the int64 indices of primes p = 3 (mod 4) and their
+    # float64 factors
+    return P + 1 + 16 * _pi_bound(P) + _OVERHEAD
+
+
+def _diff_charge(N: int) -> int:
+    # both byte maps, plus the larger of the second sieve's row and one block
+    # of int64/float64 running differences, n, roots and their temporaries
+    row = 8 * (math.isqrt(N) + 1)
+    return 2 * (N + 1) + max(row, 48 * min(_BLOCK, N + 1)) + _OVERHEAD
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,13 +113,15 @@ def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:
     """bit(n) = 1 iff n = x^2 + y^2 for some x0 <= x <= y, by additive marking."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    _check_budget(N + 1 + 16 * math.isqrt(N + 1), mem_budget, f"{kind} sieve")
+    _check_budget(_s2_charge(N), mem_budget, f"{kind} sieve")
     bits = np.zeros(N + 1, dtype=np.uint8)
     x = x0
     while 2 * x * x <= N:
         ymax = math.isqrt(N - x * x)
-        y = np.arange(x, ymax + 1, dtype=np.int64)
-        bits[x * x + y * y] = 1
+        idx = np.arange(x, ymax + 1, dtype=np.int64)
+        idx *= idx
+        idx += x * x
+        bits[idx] = 1
         x += 1
     return SieveTable(N, bits, kind)
 
@@ -88,8 +140,7 @@ def spf_sieve(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> np.ndarray:
     """Smallest-prime-factor table for 0..N (spf[0] = 0, spf[1] = 1)."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    # int32 table + the worst transient boolean mask of a marking slice
-    _check_budget(4 * (N + 1) + (N + 1) // 2 + 16, mem_budget, "spf sieve")
+    _check_budget(_spf_charge(N), mem_budget, "spf sieve")
     spf = np.zeros(N + 1, dtype=np.int32)
     if N >= 1:
         spf[1] = 1
@@ -98,8 +149,10 @@ def spf_sieve(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> np.ndarray:
             spf[p] = p
             sl = spf[p * p:: p]
             sl[sl == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest  # untouched entries are primes above sqrt(N) (and index 0)
+    # untouched entries are primes above sqrt(N) (and index 0): spf[n] = n
+    for lo in range(0, N + 1, _BLOCK):
+        blk = spf[lo:lo + _BLOCK]
+        np.copyto(blk, np.arange(lo, lo + blk.size, dtype=np.int32), where=blk == 0)
     return spf
 
 
@@ -127,38 +180,39 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     """
     if N < 0:
         raise DomainError("N must be >= 0")
-    # bits + spf(int32) + parity accumulator + prime index transients
-    _check_budget(11 * (N + 1), mem_budget, "multiplicative s2 sieve")
+    _check_budget(_multiplicative_charge(N), mem_budget, "multiplicative s2 sieve")
     if N < 3:
         # 0, 1, 2 are all sums of two squares; no prime = 3 (mod 4) yet
         return SieveTable(N, np.ones(N + 1, dtype=np.uint8), KIND_S2_MULTIPLICATIVE)
     spf = spf_sieve(N, mem_budget=mem_budget)
-    idx = np.arange(N + 1, dtype=np.int32)
-    primes = np.flatnonzero((spf == idx) & (idx >= 2))
-    del idx
-    p3 = primes[primes % 4 == 3]
-    del primes
+    # the primes p = 3 (mod 4) are the n = 3 (mod 4) with spf[n] = n
+    idx = np.arange(3, N + 1, 4, dtype=np.int32)
+    p3 = idx[spf[3::4] == idx]
+    del spf, idx
     acc = np.zeros(N + 1, dtype=np.int8)  # sum of v_p(n) mod 2; < log2(N) so no overflow
-    for p in p3.tolist():
+    for p in map(int, p3):
         pe = p
         sign = 1
         while pe <= N:
             acc[pe::pe] += sign
             sign = -sign
             pe *= p
-    bits = (acc == 0).astype(np.uint8)
+    bits = (acc == 0).view(np.uint8)
     return SieveTable(N, bits, KIND_S2_MULTIPLICATIVE)
 
 
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
-    """Exact member counts of [0, N] at each checkpoint N."""
+    """Exact member counts of [0, N] at each checkpoint N, in the given order."""
     for N in checkpoints:
         if not 0 <= N <= table.limit:
             raise DomainError(f"checkpoint {N} outside table range 0..{table.limit}")
-    if not len(checkpoints):
-        return CountSeries(())
-    cum = np.cumsum(table.bits, dtype=np.int64)
-    return CountSeries(tuple((int(N), int(cum[N])) for N in checkpoints))
+    counts: dict[int, int] = {}
+    total = start = 0
+    for N in sorted({int(N) for N in checkpoints}):
+        total += int(np.count_nonzero(table.bits[start:N + 1]))
+        counts[N] = total
+        start = N + 1
+    return CountSeries(tuple((int(N), counts[int(N)]) for N in checkpoints))
 
 
 def lr_estimate_sieve(series: CountSeries) -> list[LrEstimate]:
@@ -188,11 +242,17 @@ def lr_euler_product(P: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> LrEstima
     """
     if P < 2:
         raise DomainError("P must be >= 2")
-    _check_budget(10 * (P + 1), mem_budget, "euler product prime sieve")
+    _check_budget(_euler_charge(P), mem_budget, "euler product prime sieve")
     mask = _prime_mask(P)
-    primes = np.flatnonzero(mask)
-    p3 = primes[primes % 4 == 3].astype(np.float64)
-    prod = float(np.prod(1.0 - 1.0 / (p3 * p3))) if p3.size else 1.0
+    f = np.nonzero(mask[3::4])[0].astype(np.float64)
+    del mask
+    # f = p, then 1 - p^-2 in place, rounding each step as 1.0 - 1.0 / (p * p)
+    f *= 4.0
+    f += 3.0
+    f *= f
+    np.divide(1.0, f, out=f)
+    np.subtract(1.0, f, out=f)
+    prod = float(np.prod(f)) if f.size else 1.0
     value = math.sqrt(0.5 / prod)
     tail = math.expm1(1.0 / (P - 1))
     return LrEstimate("euler_product", value, P, tail)
@@ -207,19 +267,29 @@ def diff_bound_check(
     """
     if N < 0:
         raise DomainError("N must be >= 0")
-    table = sieve_s2_additive(N, mem_budget=mem_budget)
-    table_nz = sieve_s2_nonzero(N, mem_budget=mem_budget)
-    B = np.cumsum(table.bits, dtype=np.int64)
-    Bp = np.cumsum(table_nz.bits, dtype=np.int64)
-    diff = np.abs(B - Bp)
-    n = np.arange(N + 1, dtype=np.int64)
-    root = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    # repair float sqrt at the edges so root = floor(sqrt(n)) exactly
-    root += (root + 1) * (root + 1) <= n
-    root -= root * root > n
-    bad = diff > root + 1
-    first = int(np.flatnonzero(bad)[0]) if bad.any() else None
-    return first, int(diff.max())
+    _check_budget(_diff_charge(N), mem_budget, "difference bound check")
+    bits = sieve_s2_additive(N, mem_budget=mem_budget).bits
+    bits_nz = sieve_s2_nonzero(N, mem_budget=mem_budget).bits
+    first = None
+    worst = carry = 0  # carry = B(lo - 1) - B'(lo - 1)
+    for lo in range(0, N + 1, _BLOCK):
+        hi = min(lo + _BLOCK, N + 1)
+        diff = np.cumsum(bits[lo:hi], dtype=np.int64)
+        diff -= np.cumsum(bits_nz[lo:hi], dtype=np.int64)
+        diff += carry
+        carry = int(diff[-1])
+        np.abs(diff, out=diff)
+        n = np.arange(lo, hi, dtype=np.int64)
+        root = np.sqrt(n.astype(np.float64)).astype(np.int64)
+        # repair float sqrt at the edges so root = floor(sqrt(n)) exactly
+        root += (root + 1) * (root + 1) <= n
+        root -= root * root > n
+        if first is None:
+            bad = np.flatnonzero(diff > root + 1)
+            if bad.size:
+                first = lo + int(bad[0])
+        worst = max(worst, int(diff.max()))
+    return first, worst
 
 
 def multiplicativity_check(table: SieveTable, bound: int) -> tuple[int, int] | None:
@@ -228,7 +298,7 @@ def multiplicativity_check(table: SieveTable, bound: int) -> tuple[int, int] | N
         raise DomainError("bound must be >= 1")
     if bound * bound > table.limit:
         raise DomainError("bound^2 exceeds the table limit")
-    bits = table.bits.tobytes()
+    bits = table.bits[:bound * bound + 1].tobytes()
     gcd = math.gcd
     for p in range(1, bound + 1):
         bp = bits[p]

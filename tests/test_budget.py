@@ -1,0 +1,110 @@
+"""The memory budget holds end to end.
+
+Every budgeted entry point, run with a budget equal to its charge, keeps its
+tracemalloc peak within that budget; one byte less is refused with
+ResourceError before anything is allocated. The CLI keeps the same promise
+for MORPH_MEM_MB, given in whole MiB.
+"""
+
+import math
+import os
+import sys
+import tracemalloc
+
+import pytest
+import scipy.special  # noqa: F401  imported lazily by gamma_confidence; warm it here
+
+from morphcert import certify, numtheory
+from morphcert.cli import main
+from morphcert.errors import ResourceError
+
+MIB = 2**20
+
+
+def _certify(source):
+    def run(n, budget):
+        return certify.certify_nonmorphic(
+            source, certify.CertifyConfig(max_n=n, mem_budget=budget)
+        )
+
+    return run
+
+
+def _budgeted(fn):
+    return lambda n, budget: fn(n, mem_budget=budget)
+
+
+# name -> (call(size, budget), charge(size), a size whose arrays dwarf the
+# fixed per-call allowance)
+CASES = {
+    "sieve_s2_additive": (_budgeted(numtheory.sieve_s2_additive), numtheory._s2_charge, 2 * 10**6),
+    "sieve_s2_nonzero": (_budgeted(numtheory.sieve_s2_nonzero), numtheory._s2_charge, 2 * 10**6),
+    "spf_sieve": (_budgeted(numtheory.spf_sieve), numtheory._spf_charge, 10**6),
+    "sieve_s2_multiplicative": (
+        _budgeted(numtheory.sieve_s2_multiplicative), numtheory._multiplicative_charge, 10**6),
+    "lr_euler_product": (_budgeted(numtheory.lr_euler_product), numtheory._euler_charge, 10**6),
+    "diff_bound_check": (_budgeted(numtheory.diff_bound_check), numtheory._diff_charge, 10**6),
+    "certify s2": (_certify("s2"), numtheory._s2_charge, 2 * 10**6),
+    "certify s2nz": (_certify("s2nz"), numtheory._s2_charge, 2 * 10**6),
+}
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def warm():
+    # first calls fill interpreter caches, which are not the call's cost
+    for call, _, _ in CASES.values():
+        call(100, numtheory.DEFAULT_MEM_BYTES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("small", [False, True], ids=["near-cap", "small"])
+def test_peak_within_charge(name, small):
+    call, charge, size = CASES[name]
+    n = 10 if small else size
+    budget = charge(n)
+    assert traced_peak(call, n, budget) <= budget
+    with pytest.raises(ResourceError):
+        call(n, budget - 1)
+
+
+@pytest.fixture
+def devnull_stdout(monkeypatch):
+    # a real sink, unlike capsys, keeps no copy of the output in memory
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        yield
+
+
+@pytest.mark.parametrize("argv, charge", [
+    ("certify --source s2 -N {N}", numtheory._s2_charge),
+    ("seq gen --kind s2nz --format ascii -N {N}", numtheory._s2_charge),
+    ("seq gen --kind s2 --format bits -N {N}", numtheory._s2_charge),
+    ("seq count --kind s2 --checkpoints geo:1024:2:{N}", numtheory._s2_charge),
+    ("lr-constant --method sieve --bound {N}", numtheory._s2_charge),
+    ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
+])
+def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
+    N = 3 * MIB
+    mb = math.ceil(charge(N) / MIB)
+    argv = argv.format(N=N).split()
+    monkeypatch.setenv("MORPH_MEM_MB", str(mb - 1))
+    assert main(argv) == 3
+    monkeypatch.setenv("MORPH_MEM_MB", str(mb))
+    main(argv)  # warm: first-run imports and caches are not the run's cost
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= mb * MIB

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from morphcert.cli import main
+from morphcert.numtheory import sieve_s2_additive, sieve_s2_nonzero
 
 from conftest import MORPHISM_DIR
 
@@ -46,6 +47,19 @@ class TestSeqGen:
         assert code == 0
         # 11101100111 packed LSB-first: 00110111, 00000111 -> 0x37, 0x07
         assert out == bytes([55, 7])
+
+    def test_ascii_matches_bits_over_many_blocks(self, capsysbinary):
+        N = 5 * 2**16 + 13  # output is written block by block
+        for kind, sieve in (("s2", sieve_s2_additive), ("s2nz", sieve_s2_nonzero)):
+            argv = ["seq", "gen", "--kind", kind, "-N", str(N)]
+            assert main(argv + ["--format", "bits"]) == 0
+            packed = np.frombuffer(capsysbinary.readouterr().out, dtype=np.uint8)
+            assert packed.size == (N + 8) // 8
+            bits = np.unpackbits(packed, count=N + 1, bitorder="little")
+            assert np.array_equal(bits, sieve(N).bits)
+            assert main(argv + ["--format", "ascii"]) == 0
+            ascii_out = capsysbinary.readouterr().out
+            assert ascii_out == (bits + ord("0")).tobytes() + b"\n"
 
     def test_morphic_bits(self, capsysbinary):
         code = main(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphcert import numtheory
 from morphcert.errors import DomainError, ResourceError
 from morphcert.numtheory import (
+    _BLOCK,
     CountSeries,
     SieveTable,
     count_series,
@@ -124,6 +126,20 @@ class TestCountSeries:
         nz = sieve_s2_nonzero(100)
         assert count_series(nz, [10]).entries == ((10, 4),)
 
+    def test_matches_full_cumsum(self):
+        # the full int64 cumsum is the reference for the blockwise counts
+        rng = np.random.default_rng(7)
+        for limit in (0, 1, 2 * _BLOCK + 3):
+            bits = rng.integers(0, 2, limit + 1, dtype=np.uint8)
+            cum = np.cumsum(bits, dtype=np.int64)
+            table = SieveTable(limit, bits, "random")
+            for _ in range(5):
+                cps = [int(n) for n in rng.integers(0, limit + 1, 6)]
+                cps += [0, limit, cps[0], limit]  # ends and repeats, unsorted
+                rng.shuffle(cps)
+                expect = tuple((n, int(cum[n])) for n in cps)
+                assert count_series(table, cps).entries == expect
+
     def test_empty_and_bounds(self):
         table = sieve_s2_additive(10)
         assert count_series(table, []).entries == ()
@@ -179,6 +195,20 @@ class TestLrEstimates:
             lr_euler_product(10**7, mem_budget=1024)
 
 
+def diff_bound_full(bits, bits_nz):
+    """diff_bound_check over whole-length int64 arrays: the test oracle."""
+    B = np.cumsum(bits, dtype=np.int64)
+    Bp = np.cumsum(bits_nz, dtype=np.int64)
+    diff = np.abs(B - Bp)
+    n = np.arange(len(bits), dtype=np.int64)
+    root = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    root += (root + 1) * (root + 1) <= n
+    root -= root * root > n
+    bad = diff > root + 1
+    first = int(np.flatnonzero(bad)[0]) if bad.any() else None
+    return first, int(diff.max())
+
+
 class TestDiffBound:
     def test_equality_case_at_ten(self):
         # B(10) = 8, B'(10) = 4: diff 4 == floor(sqrt(10)) + 1
@@ -197,6 +227,28 @@ class TestDiffBound:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             diff_bound_check(-1)
+
+    def test_blockwise_matches_full_arrays(self):
+        N = 3 * _BLOCK + 5
+        got = diff_bound_check(N)
+        assert got == diff_bound_full(sieve_s2_additive(N).bits, sieve_s2_nonzero(N).bits)
+        assert got[0] is None
+
+    @pytest.mark.parametrize("start, length", [
+        (2 * _BLOCK + 100, 3000),  # inside a later block
+        (2 * _BLOCK - 500, 1400),  # crossing into it: seen only through the carry
+    ])
+    def test_planted_violation_in_later_block(self, monkeypatch, start, length):
+        # on real data the bound always holds; extra members of the nonzero
+        # table drive |B - B'| past floor(sqrt(n)) + 1 far from 0
+        N = 3 * _BLOCK + 5
+        nz = sieve_s2_nonzero(N).bits.copy()
+        nz[start:start + length] = 1
+        planted = SieveTable(N, nz, "planted")
+        monkeypatch.setattr(numtheory, "sieve_s2_nonzero", lambda n, **kw: planted)
+        got = diff_bound_check(N)
+        assert got == diff_bound_full(sieve_s2_additive(N).bits, nz)
+        assert got[0] is not None and got[0] >= 2 * _BLOCK
 
 
 class TestMultiplicativity:
