@@ -271,15 +271,12 @@ def _fit_constant(
     period: int,
 ) -> float | None:
     """exp(mean residual) of ln(count) - degree*ln(Tk) - Tk*ln(rate), k = 10..20."""
-    kmax = period * 20
-    series = count_vector_series(M, source, kmax)
     vals = []
     lograte = math.log(rate)
-    for k in range(period * 10, kmax + 1, period):
-        if targets is None:
-            cnt = sum(series[k])
-        else:
-            cnt = sum(series[k][t] for t in targets)
+    ks = range(period * 10, period * 20 + 1, period)
+    vectors = islice(count_vectors(M.entries, bytes([source])), ks.start, ks.stop, period)
+    for k, c in zip(ks, vectors):
+        cnt = sum(c) if targets is None else sum(c[t] for t in targets)
         if cnt <= 0:
             continue
         vals.append(math.log(cnt) - degree * math.log(k) - k * lograte)
@@ -298,48 +295,47 @@ def growth_class(m: Morphism, a) -> GrowthClass:
     return GrowthClass(alpha, total - 1, period, G)
 
 
-def _eventually_zero(M: IncidenceMatrix, source: int, target: int) -> bool:
-    """True iff target never occurs in phi^k(source) for k >= d.
+def _targets_class(m: Morphism, dag: ComponentDag, src: int, targets) -> LetterGrowthClass:
+    """Constructive (beta, m, T) and G' for the summed counts of `targets` in phi^k(src).
 
-    Zero counts across the window k in [d, 2d-1] force zero forever: any
-    occurrence path of length >= 2d repeats a letter and can be pumped down
-    into the window.
+    `dag` is scc_dag(m, src). A target is eventually zero iff it is
+    unreachable or the largest Perron value on its root..target paths is 0.
+    A component with a cycle has Perron value >= 1 (nonnegative integer,
+    irreducible); a cycle-free singleton's is exactly 0.0 (power iteration on
+    [[0]] + I). So 0 means no cycle on any path: occurrence paths are shorter
+    than d and counts vanish for k >= d, while a cycle can be pumped into
+    occurrences for infinitely many k.
     """
-    window = islice(count_vectors(M.entries, bytes([source])), M.d, 2 * M.d)
-    return all(c[target] == 0 for c in window)
+    h = _as_digraph(set(range(len(dag.components))), dag.edges)
+    live = []  # (target, beta, m, T) of the targets that are not eventually zero
+    for t in targets:
+        if t in dag.comp_of:
+            cb = dag.comp_of[t]
+            nodes = set(nx.ancestors(h, cb)) | {cb}  # exactly the components on root..cb paths
+            beta, total, period = _path_class(dag, nodes, sink=cb)
+            if beta > 0.0:
+                live.append((t, beta, total - 1, period))
+    if not live:
+        return LetterGrowthClass(0.0, 0, 1, None, True)
+    beta = max(p[1] for p in live)
+    achieving = [p for p in live if p[1] >= beta - ACHIEVE_RTOL * beta]
+    deg = max(p[2] for p in achieving)
+    period = math.lcm(*(p[3] for p in achieving))
+    alive = tuple(p[0] for p in live)
+    Gp = _fit_constant(incidence_matrix(m), src, alive, beta, deg, period)
+    return LetterGrowthClass(beta, deg, period, Gp, False)
 
 
 def letter_growth_class(m: Morphism, a, b) -> LetterGrowthClass:
     """Constructive (beta, m, T) for |phi^k(a)|_b, plus a fitted G' estimate."""
-    src = _letter_index(m, a)
-    tgt = _letter_index(m, b)
-    M = incidence_matrix(m)
-    if _eventually_zero(M, src, tgt):
-        return LetterGrowthClass(0.0, 0, 1, None, True)
-    dag = scc_dag(m, a)
-    cb = dag.comp_of[tgt]
-    h = _as_digraph(set(range(len(dag.components))), dag.edges)
-    nodes = set(nx.ancestors(h, cb)) | {cb}  # exactly the components on root..cb paths
-    beta, total, period = _path_class(dag, nodes, sink=cb)
-    Gp = _fit_constant(M, src, (tgt,), beta, total - 1, period)
-    return LetterGrowthClass(beta, total - 1, period, Gp, False)
+    src, tgt = _letter_index(m, a), _letter_index(m, b)
+    return _targets_class(m, scc_dag(m, a), src, (tgt,))
 
 
 def symbol_growth_class(sys: MorphicSystem, symbol: str) -> LetterGrowthClass:
     """Growth of symbol counts in phi^k(start), aggregated over coding preimages."""
-    m = sys.morphism
     targets = sys.letters_for(symbol)
-    parts = [letter_growth_class(m, sys.start, t) for t in targets]
-    live = [p for p in parts if not p.eventually_zero]
-    if not live:
-        return LetterGrowthClass(0.0, 0, 1, None, True)
-    beta = max(p.beta for p in live)
-    achieving = [p for p in live if p.beta >= beta - ACHIEVE_RTOL * beta]
-    deg = max(p.m for p in achieving)
-    period = math.lcm(*(p.T for p in achieving))
-    alive = tuple(t for t, p in zip(targets, parts) if not p.eventually_zero)
-    Gp = _fit_constant(incidence_matrix(m), sys.start, alive, beta, deg, period)
-    return LetterGrowthClass(beta, deg, period, Gp, False)
+    return _targets_class(sys.morphism, scc_dag(sys.morphism, sys.start), sys.start, targets)
 
 
 def analysis_report(sys: MorphicSystem) -> dict:
@@ -359,7 +355,7 @@ def analysis_report(sys: MorphicSystem) -> dict:
     ]
     letter_growth = {}
     for sym in sys.symbols():
-        cls = symbol_growth_class(sys, sym)
+        cls = _targets_class(m, dag, sys.start, sys.letters_for(sym))
         letter_growth[sym] = {
             "beta": cls.beta,
             "m": cls.m,

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphcert import spectral
 from morphcert.errors import DomainError, ResourceError, ValidationError
 from morphcert.spectral import (
     MAX_DIM,
@@ -187,6 +189,26 @@ class TestGrowthClass:
         g = growth_class(column().morphism, 0)
         assert g.G_estimate == pytest.approx(1.0, abs=0.1)
 
+    def test_long_period_fit_streams(self):
+        # a -> a plus the head of one cycle each of lengths 3, 5, 7, 11, so
+        # T = 1155 and the fit reads k = 10T..20T; the 23 101 count vectors
+        # up to 20T must not all be kept
+        rules = {"a": ["a"]}
+        for n in (3, 5, 7, 11):
+            cyc = [f"c{n}_{i}" for i in range(n)]
+            rules["a"].append(cyc[0])
+            rules.update({u: [cyc[(i + 1) % n]] for i, u in enumerate(cyc)})
+        m = make_morphism(list(rules), rules)
+        tracemalloc.start()
+        try:
+            g = growth_class(m, "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.T == 1155
+        assert g.G_estimate == 4.000060509336049  # as fitted from the full list
+        assert peak < 4 * 2**20
+
     def test_ratio_converges_to_alpha(self):
         # primitive morphisms: N_{k+1}/N_k -> alpha fast
         for sys in (thue_morse(), fibonacci()):
@@ -303,6 +325,23 @@ class TestAnalysisReport:
         assert set(report["letter_growth"]) == {"0", "1"}
         assert report["components"][0]["letters"] == ["0", "1"]
         assert report["components"][0]["cyclicity"] == 1
+
+    @pytest.mark.parametrize("d", [12, 24])
+    def test_one_condensation_for_all_symbols(self, monkeypatch, d):
+        # a chain with a self-loop on every third letter and two letters the
+        # start never reaches, coded onto two symbols: the report condenses
+        # the digraph for its components and for growth_class, not per letter
+        ids = [f"x{i}" for i in range(d)]
+        rules = {u: [u, ids[i + 1]] if i % 3 == 0 else [ids[i + 1]]
+                 for i, u in enumerate(ids[:-3])}
+        rules.update({ids[-3]: [ids[-3]], ids[-2]: [ids[-1]], ids[-1]: [ids[-2], ids[-3]]})
+        sys = make_system(ids, rules, "x0", coding={u: str(i % 2) for i, u in enumerate(ids)})
+        calls = []
+        real = spectral.scc_dag
+        monkeypatch.setattr(spectral, "scc_dag", lambda *a: calls.append(a) or real(*a))
+        report = analysis_report(sys)
+        assert len(calls) <= 2
+        assert report["letter_growth"]["0"]["eventually_zero"] is False
 
     def test_counts_stay_exact_in_json(self):
         # incidence entries are decimal strings so nothing rides on float range
