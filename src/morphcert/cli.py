@@ -118,9 +118,7 @@ def cmd_seq_gen(args) -> int:
             return EXIT_OK
         if any(s not in ("0", "1") for s in system.symbols()):
             raise ValidationError("--format bits needs a coding onto symbols 0 and 1")
-        bits = np.frombuffer(
-            bytes(1 if s == "1" else 0 for s in symbols), dtype=np.uint8
-        )
+        bits = np.frombuffer("".join(symbols).encode("ascii"), np.uint8) - ord("0")
     # block by block, so the output costs O(block) beside the table
     blocks = (bits[lo:lo + numtheory._BLOCK] for lo in range(0, bits.size, numtheory._BLOCK))
     if args.format == "ascii":

@@ -208,6 +208,17 @@ def count_vectors(rows: Sequence[Sequence[int]], w: Word) -> Iterator[list[int]]
         c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
 
 
+def _apply(images: Sequence[Word], w: Word) -> Word:
+    """phi(w), joined 4096 letters at a time.
+
+    bytes.join first turns a generator into one list entry per letter; joining
+    slices keeps that transient at one slice, so the peak is about 2|phi(w)|.
+    """
+    return b"".join([
+        b"".join([images[ch] for ch in w[i:i + 4096]]) for i in range(0, len(w), 4096)
+    ])
+
+
 def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP) -> Word:
     """Return phi^k(w), refusing to materialize more than max_len letters."""
     if k < 0:
@@ -224,9 +235,8 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
                 f"iterate would produce {total} letters (cap {max_len})"
             )
     cur = w
-    images = m.images
     for _ in range(k):
-        cur = b"".join(images[ch] for ch in cur)
+        cur = _apply(m.images, cur)
     return cur
 
 
@@ -240,37 +250,36 @@ def checkpoints(sys: MorphicSystem, kmax: int) -> CheckpointSeries:
     ))
 
 
-def _letter_chunks(sys: MorphicSystem) -> Iterator[Word]:
-    """The fixed point lim phi^i(b) as an endless stream of byte chunks.
+def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
+    """The first n letters of the fixed point lim phi^i(b), as byte blocks.
 
-    Uses the decomposition b . w . phi(w) . phi^2(w) ... with phi(b) = b w,
-    expanding each phi^j(w) depth-first so memory stays O(depth * image size).
+    The fixed point is b . w . phi(w) . phi^2(w) ... with phi(b) = b w, so each
+    block is the image of the one before. phi is non-erasing, so the image of
+    the letters still needed covers them: a block is cut to those before phi
+    is applied, and memory stays at about (1 + max |phi(a)|) n bytes. A block
+    equal to its own image is fixed letter by letter, so the rest of the
+    prefix repeats it; it is yielded in pieces of about 64 KiB. (If phi saw
+    a cut block, fewer letters than the block remain, and the one piece
+    yielded is a prefix of the image all the same.)
     """
+    if n <= 0:
+        return
     images = sys.morphism.images
-    b = sys.start
-    yield bytes([b])
-    tail = images[b][1:]
-    depth = 0
-    while True:
-        # frames: [word, next position, remaining expansion depth]
-        stack = [[tail, 0, depth]]
-        while stack:
-            top = stack[-1]
-            word, pos, rem = top
-            if pos == len(word):
-                stack.pop()
-            elif rem == 0:
-                top[1] = len(word)
-                yield word[pos:]
-            else:
-                letter = word[pos]
-                top[1] = pos + 1
-                img = images[letter]
-                if len(img) == 1 and img[0] == letter:
-                    yield img  # phi fixes this letter; no need to descend
-                else:
-                    stack.append([img, 0, rem - 1])
-        depth += 1
+    yield bytes([sys.start])
+    need = n - 1
+    block = images[sys.start][1:]
+    while need > 0:
+        block = block[:need]
+        yield block
+        need -= len(block)
+        image = _apply(images, block[:need])
+        if image == block:
+            piece = block * (1 + 65536 // len(block))
+            while need > 0:
+                yield piece[:need]
+                need -= len(piece)
+            return
+        block = image
 
 
 def fixed_point_stream(sys: MorphicSystem, n: int) -> list[str]:
@@ -278,15 +287,7 @@ def fixed_point_stream(sys: MorphicSystem, n: int) -> list[str]:
     if n < 0:
         raise DomainError("n must be >= 0")
     coding = sys.coding
-    out: list[str] = []
-    need = n
-    for chunk in _letter_chunks(sys):
-        if need <= 0:
-            break
-        part = chunk[:need]
-        out.extend(coding[ch] for ch in part)
-        need -= len(part)
-    return out
+    return [coding[ch] for ch in b"".join(_prefix_blocks(sys, n))]
 
 
 def count_in_prefix(sys: MorphicSystem, symbol: str, n: int) -> int:
@@ -294,16 +295,7 @@ def count_in_prefix(sys: MorphicSystem, symbol: str, n: int) -> int:
     if n < 0:
         raise DomainError("n must be >= 0")
     targets = sys.letters_for(symbol)
-    total = 0
-    need = n
-    for chunk in _letter_chunks(sys):
-        if need <= 0:
-            break
-        part = chunk[:need]
-        for t in targets:
-            total += part.count(t)
-        need -= len(part)
-    return total
+    return sum(block.count(t) for block in _prefix_blocks(sys, n) for t in targets)
 
 
 def prefix_count_series(
@@ -322,17 +314,14 @@ def prefix_count_series(
     while idx < len(pending) and pending[idx] == 0:
         out[0] = 0
         idx += 1
-    for chunk in _letter_chunks(sys):
-        if idx >= len(pending):
-            break
-        # counts are cheap per chunk; record any checkpoint inside this chunk
-        end = pos + len(chunk)
+    for block in _prefix_blocks(sys, pending[-1] if pending else 0):
+        # record any checkpoint inside this block
+        end = pos + len(block)
         while idx < len(pending) and pending[idx] <= end:
-            cut = pending[idx] - pos
-            part = chunk[:cut]
+            part = block[:pending[idx] - pos]
             out[pending[idx]] = total + sum(part.count(t) for t in targets)
             idx += 1
-        total += sum(chunk.count(t) for t in targets)
+        total += sum(block.count(t) for t in targets)
         pos = end
     return [(n, out[n]) for n in checkpoints]
 

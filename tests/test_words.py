@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +21,18 @@ from morphcert.words import (
     iterate,
     parse_morphism_spec,
     prefix_count_series,
+    _prefix_blocks,
 )
 
-from conftest import column, fibonacci, make_morphism, swap, thue_morse
+from conftest import (
+    chain,
+    column,
+    fibonacci,
+    make_morphism,
+    make_system,
+    swap,
+    thue_morse,
+)
 
 TM_TEXT = """\
 # Thue-Morse
@@ -148,6 +159,17 @@ class TestIterate:
             iterate(m, b"\x00", -1)
         with pytest.raises(ValidationError):
             iterate(m, b"\x05", 1)
+
+    def test_traced_peak_near_output_size(self, tm):
+        # 1 MiB of output; joining one generator over all letters peaks near 46 MiB
+        tracemalloc.start()
+        try:
+            word = iterate(tm.morphism, b"\x00", 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 2**20
+        assert peak < 4 * 2**20
 
     def test_length_cap_without_materializing(self, tm):
         # 2^40 letters predicted exactly, refused before any allocation
@@ -288,6 +310,110 @@ class TestParser:
         assert sys.start_id == "a"
 
 
+# --- reference streamer -----------------------------------------------------
+
+
+def _reference_chunks(sys):
+    """The fixed point as an endless stream of chunks, one letter at a time.
+
+    Uses the decomposition b . w . phi(w) . phi^2(w) ... with phi(b) = b w,
+    expanding each phi^j(w) depth-first so memory stays O(depth * image size).
+    """
+    images = sys.morphism.images
+    b = sys.start
+    yield bytes([b])
+    tail = images[b][1:]
+    depth = 0
+    while True:
+        # frames: [word, next position, remaining expansion depth]
+        stack = [[tail, 0, depth]]
+        while stack:
+            top = stack[-1]
+            word, pos, rem = top
+            if pos == len(word):
+                stack.pop()
+            elif rem == 0:
+                top[1] = len(word)
+                yield word[pos:]
+            else:
+                letter = word[pos]
+                top[1] = pos + 1
+                img = images[letter]
+                if len(img) == 1 and img[0] == letter:
+                    yield img  # phi fixes this letter; no need to descend
+                else:
+                    stack.append([img, 0, rem - 1])
+        depth += 1
+
+
+def _reference_prefix(sys, n):
+    out = b""
+    for chunk in _reference_chunks(sys):
+        if len(out) >= n:
+            break
+        out += chunk[:n - len(out)]
+    return out
+
+
+def _assert_matches_reference(sys, n):
+    word = _reference_prefix(sys, n)
+    assert fixed_point_stream(sys, n) == [sys.coding[ch] for ch in word]
+    for symbol in sys.symbols():
+        targets = sys.letters_for(symbol)
+        expect = sum(word.count(t) for t in targets)
+        assert count_in_prefix(sys, symbol, n) == expect
+        cuts = sorted({0, n // 3, n // 2, max(n - 1, 0), n})
+        assert prefix_count_series(sys, symbol, cuts) == [
+            (c, sum(word[:c].count(t) for t in targets)) for c in cuts
+        ]
+
+
+def _cycle():
+    # b and c swap forever: the blocks after w = b cycle with period 2
+    return make_system("abc", {"a": ["a", "b"], "b": ["c"], "c": ["b"]}, "a")
+
+
+def _fixed_tail():
+    # w = bc is fixed by phi, so every block after b is bc
+    return make_system("abc", {"a": ["a", "b", "c"], "b": ["b"], "c": ["c"]}, "a")
+
+
+def _grows_into_block():
+    # w = xy and phi(x) = xy: a block cut to x has an image equal to the block
+    return make_system("axy", {"a": ["a", "x", "y"], "x": ["x", "y"], "y": ["y"]}, "a")
+
+
+class TestPrefixBlocks:
+    @pytest.mark.parametrize(
+        "make", [column, chain, _cycle, _fixed_tail, _grows_into_block]
+    )
+    def test_around_checkpoints(self, make):
+        sys = make()
+        for n_k in checkpoints(sys, 12).lengths():
+            for n in (n_k - 1, n_k, n_k + 1):
+                _assert_matches_reference(sys, n)
+
+    def test_last_block_cut_while_fixed(self):
+        sys = _fixed_tail()
+        # a | bc | bc ...: n = 2 and n = 4 end inside a fixed block
+        for n in (2, 3, 4, 5, 70001):
+            _assert_matches_reference(sys, n)
+        assert "".join(fixed_point_stream(sys, 4)) == "abcb"
+        assert "".join(fixed_point_stream(_grows_into_block(), 4)) == "axyx"
+
+    def test_blocks_tile_the_prefix(self, tm, fib):
+        # 2^15 + 5 letters come from blocks built over several join slices
+        for sys in (tm, fib):
+            for n in (0, 1, 2, 3, 1000, 2**15 + 5):
+                assert b"".join(_prefix_blocks(sys, n)) == _reference_prefix(sys, n)
+
+    def test_one_block_per_level(self, tm):
+        # b, w, phi(w), ..., phi^19(w): 21 blocks make 2^20 letters
+        assert len(list(_prefix_blocks(tm, 2**20))) <= 22
+        # column repeats its fixed block b in 64 KiB pieces
+        assert count_in_prefix(column(), "b", 10**8) == 10**8 - 1
+
+
 # --- properties -------------------------------------------------------------
 
 _LETTERS = ("a", "b", "c")
@@ -302,7 +428,12 @@ def prolongable_systems(draw):
     # start letter: image begins with itself, length >= 2
     rules[letters[0]] = [letters[0]] + draw(st.lists(ids, min_size=1, max_size=2))
     for lid in letters[1:]:
-        rules[lid] = draw(st.lists(ids, min_size=1, max_size=3))
+        # fixed letters and one-letter images (cycles) besides growing images
+        rules[lid] = draw(st.one_of(
+            st.just([lid]),
+            st.lists(ids, min_size=1, max_size=1),
+            st.lists(ids, min_size=1, max_size=3),
+        ))
     m = Morphism.from_rules(Alphabet(letters), rules)
     return MorphicSystem.build(m, letters[0])
 
@@ -335,3 +466,9 @@ def test_symbol_counts_partition_prefix(sys, n):
 def test_checkpoint_lengths_match_iterate(sys, k):
     n_k = checkpoints(sys, k).lengths()[-1]
     assert n_k == len(iterate(sys.morphism, bytes([sys.start]), k, max_len=10**6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(prolongable_systems(), st.integers(0, 400))
+def test_stream_and_counts_match_reference(sys, n):
+    _assert_matches_reference(sys, n)
