@@ -14,7 +14,10 @@ are noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -128,21 +131,60 @@ class CertificateReport:
         }
 
 
-def _fit_points(points: Sequence[tuple[float, float]], min_x: float, what: str):
+class _FitPoints:
+    """Fit points held as two columns: first coordinates and counts.
+
+    Iterating yields (first, count) pairs, as any other points do. The
+    logdamped columns x = ln ln N and y = ln(N/count) are computed on first
+    use and then kept, so a fit and its gamma interval on the same points
+    pay for them once.
+    """
+
+    def __init__(self, first: Sequence, counts: Sequence):
+        self.first = first
+        self.counts = counts
+
+    @classmethod
+    def of(cls, points) -> "_FitPoints":
+        if isinstance(points, cls):
+            return points
+        pairs = list(points)
+        return cls([a for a, _ in pairs], [c for _, c in pairs])
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        return zip(self.first, self.counts)
+
+    @cached_property
+    def logdamped_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        # math.log of each int, and int true division: np.log and float
+        # division differ from them in the last bit on some inputs
+        n = len(self)
+        x = np.fromiter(map(math.log, map(math.log, self.first)), float, n)
+        y = np.fromiter(map(math.log, map(operator.truediv, self.first, self.counts)), float, n)
+        return x, y
+
+
+def _fit_points(points: _FitPoints, min_x: float, what: str):
     if len(points) < MIN_FIT_POINTS:
         raise DomainError(f"{what} needs >= {MIN_FIT_POINTS} points, got {len(points)}")
-    for x, c in points:
-        if x < min_x:
-            raise DomainError(f"{what} needs all first coordinates >= {min_x}")
-        if c < 1:
-            raise DomainError(f"{what} needs all counts >= 1")
+    if any(map(operator.lt, points.first, repeat(min_x))) or any(
+        map(operator.lt, points.counts, repeat(1))
+    ):
+        for x, c in points:  # name the first bad point
+            if x < min_x:
+                raise DomainError(f"{what} needs all first coordinates >= {min_x}")
+            if c < 1:
+                raise DomainError(f"{what} needs all counts >= 1")
 
 
 def fit_logdamped(points: Sequence[tuple[float, float]]) -> DensityProfile:
     """Least squares for count ~ C N/(ln N)^gamma on ln(N/count) vs ln ln N."""
+    points = _FitPoints.of(points)
     _fit_points(points, 3.0, "logdamped fit")
-    x = np.array([math.log(math.log(n)) for n, _ in points])
-    y = np.array([math.log(n / c) for n, c in points])
+    x, y = points.logdamped_xy
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
@@ -157,12 +199,13 @@ def fit_logdamped(points: Sequence[tuple[float, float]]) -> DensityProfile:
 
 def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     """Least squares for count ~ Gp k^m beta^k on ln count vs {1, ln k, k}."""
+    points = _FitPoints.of(points)
     _fit_points(points, 1.0, "polyexp fit")
-    ks = [k for k, _ in points]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
+    ks = points.first
+    if any(map(operator.le, islice(ks, 1, None), ks)):
         raise DomainError("polyexp fit needs strictly increasing k")
     k = np.array(ks, dtype=float)
-    y = np.array([math.log(c) for _, c in points])
+    y = np.fromiter(map(math.log, points.counts), float, len(points))
     design = np.column_stack([np.ones_like(k), np.log(k), k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
@@ -185,11 +228,11 @@ def gamma_confidence(
     # time scipy.stats takes
     from scipy.special import stdtrit
 
+    points = _FitPoints.of(points)
     n = len(points)
     if n < 3:
         raise DomainError("confidence interval needs >= 3 points")
-    x = np.array([math.log(math.log(p)) for p, _ in points])
-    y = np.array([math.log(p / c) for p, c in points])
+    x, y = points.logdamped_xy
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     resid = y - (-math.log(profile.C) + profile.gamma * x)
@@ -325,8 +368,53 @@ def _sieve_counts(key: str, config: CertifyConfig):
         raise DomainError(f"a symbol applies only to morphic sources, not to {key!r}")
     table = sieve_table(key, config.max_n, config.mem_budget)
     cps = geometric_checkpoints(config.n0, config.ratio, config.max_n)
-    series = numtheory.count_series(table, cps)
-    return series.entries, None, None
+    entries = numtheory.count_series(table, cps).entries
+    return [n for n, _ in entries], [c for _, c in entries], None, None
+
+
+# The float shadow errs by far less than a third, so a shadow below _WIDE means
+# a true value below 2^63, and a true value up to max_n < 2^62 keeps it below.
+_INT64_SAFE = 2**62
+_WIDE = 1.5 * _INT64_SAFE
+
+
+def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
+    """N_k = |phi^k(b)| and the count of the target letters in phi^k(b), as two
+    lists over every level k with N_k <= max_n.
+
+    Levels are built in doubling blocks: if the columns of V are the count
+    vectors of levels 0..K-1 and P = M^K, the columns of P V are those of
+    levels K..2K-1. The arithmetic is int64, exact modulo 2^64, so every entry
+    whose true value is below 2^63 comes out exact. A float shadow of P,
+    capped at 2^64 so that it stays finite, bounds the new lengths: each is at
+    most the longest |phi^K(a)| times N_{K-1}. Only if that bound reaches _WIDE
+    are the columns checked one by one; the first that may not be exact, and
+    all after it, lie past max_n, since N_k grows with k. Only when max_n is
+    itself not below 2^62 are the counts Python ints.
+    """
+    exact = max_n < _INT64_SAFE
+    m = np.array(rows, dtype=np.int64 if exact else object)
+    v = np.zeros((len(rows), 1), m.dtype)
+    v[start] = 1
+    p = m
+    shadow = m.astype(float) if exact else None
+    last = 1
+    while last <= max_n:
+        if v.shape[1] > 1:
+            p = p @ p
+            if exact:
+                shadow = np.minimum(shadow @ shadow, 2.0**64)
+        block = p @ v
+        if exact and shadow.sum(axis=0).max() * last >= _WIDE:
+            wide = shadow.sum(axis=0) @ v.astype(float) >= _WIDE
+            if wide.any():
+                v = np.concatenate((v, block[:, :wide.argmax()]), axis=1)
+                break
+        v = np.concatenate((v, block), axis=1)
+        last = block[:, -1].sum()
+    n = v.sum(axis=0)
+    cut = int(np.searchsorted(n, max_n, side="right"))
+    return n[:cut].tolist(), v[list(targets), :cut].sum(axis=0).tolist()
 
 
 def _morphic_counts(path: Path, config: CertifyConfig):
@@ -334,15 +422,10 @@ def _morphic_counts(path: Path, config: CertifyConfig):
     symbol = config.symbol if config.symbol is not None else system.coding[system.start]
     targets = system.letters_for(symbol)
     rows = spectral.incidence_matrix(system.morphism).entries
-    entries: list[tuple[int, int]] = []
-    for c in words.count_vectors(rows, bytes([system.start])):
-        n_k = sum(c)
-        if n_k > config.max_n:
-            break
-        entries.append((n_k, sum(c[t] for t in targets)))
+    ns, counts = _level_counts(rows, system.start, targets, config.max_n)
     growth = spectral.growth_class(system.morphism, system.start)
     letter_growth = spectral.symbol_growth_class(system, symbol)
-    return tuple(entries), growth, letter_growth
+    return ns, counts, growth, letter_growth
 
 
 def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
@@ -351,26 +434,27 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     key, path = resolve_source(source)
     morphic = path is not None
     if morphic:
-        checkpoints, growth, letter_growth = _morphic_counts(path, config)
+        ns, counts, growth, letter_growth = _morphic_counts(path, config)
         sequence_id = source
     else:
-        checkpoints, growth, letter_growth = _sieve_counts(key, config)
+        ns, counts, growth, letter_growth = _sieve_counts(key, config)
         sequence_id = key
+    checkpoints = tuple(zip(ns, counts))
 
     # checkpoint index k: morphic sources carry the true iteration number
     # (Cor.-style counts live along it); sieve checkpoints have no intrinsic
     # iteration index, so the included points are indexed 1, 2, ... — on a
     # geometric schedule ln N is affine in that index, which is the role k
     # plays along morphic checkpoints, and the offset is a fixed convention
-    usable = [
-        (k, n, c) for k, (n, c) in enumerate(checkpoints)
-        if n >= config.min_fit_n and c >= 1 and (k >= 1 or not morphic)
-    ]
-    ld_points = [(n, c) for _, n, c in usable]
+    usable = [n >= config.min_fit_n and c >= 1 for n, c in checkpoints]
+    if morphic and usable:
+        usable[0] = False
+    fit_counts = list(compress(counts, usable))
+    ld_points = _FitPoints(list(compress(ns, usable)), fit_counts)
     if morphic:
-        pe_points = [(k, c) for k, _, c in usable]
+        pe_points = _FitPoints(list(compress(range(len(ns)), usable)), fit_counts)
     else:
-        pe_points = [(i, c) for i, (_, _, c) in enumerate(usable, 1)]
+        pe_points = _FitPoints(range(1, len(fit_counts) + 1), fit_counts)
 
     logdamped = fit_logdamped(ld_points) if len(ld_points) >= MIN_FIT_POINTS else None
     polyexp = fit_polyexp(pe_points) if len(pe_points) >= MIN_FIT_POINTS else None
@@ -407,7 +491,7 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
 
     return CertificateReport(
         sequence_id=sequence_id,
-        checkpoints=tuple(checkpoints),
+        checkpoints=checkpoints,
         logdamped=logdamped,
         gamma_ci=gamma_ci,
         polyexp=polyexp,

@@ -256,11 +256,13 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
     The fixed point is b . w . phi(w) . phi^2(w) ... with phi(b) = b w, so each
     block is the image of the one before. phi is non-erasing, so the image of
     the letters still needed covers them: a block is cut to those before phi
-    is applied, and memory stays at about (1 + max |phi(a)|) n bytes. A block
-    equal to its own image is fixed letter by letter, so the rest of the
-    prefix repeats it; it is yielded in pieces of about 64 KiB. (If phi saw
-    a cut block, fewer letters than the block remain, and the one piece
-    yielded is a prefix of the image all the same.)
+    is applied. Block lengths never fall, and the blocks since the length last
+    grew are kept; they are letters already yielded, so memory stays at about
+    (1 + max |phi(a)|) n bytes. Once a new block equals one of them, p levels
+    back, the blocks cycle with period p, so the rest of the prefix repeats
+    the last p blocks; it is yielded in pieces of about 64 KiB. (If phi saw a
+    cut block, fewer letters than its image remain, and the one piece yielded
+    is a prefix of the image all the same.)
     """
     if n <= 0:
         return
@@ -268,13 +270,18 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
     yield bytes([sys.start])
     need = n - 1
     block = images[sys.start][1:]
+    seen: dict[Word, int] = {}  # the blocks of the current length -> their order
     while need > 0:
         block = block[:need]
         yield block
         need -= len(block)
         image = _apply(images, block[:need])
-        if image == block:
-            piece = block * (1 + 65536 // len(block))
+        if len(image) != len(block):
+            seen.clear()
+        seen[block] = len(seen)
+        if image in seen:
+            cycle = b"".join(list(seen)[seen[image]:])
+            piece = cycle * (1 + 65536 // len(cycle))
             while need > 0:
                 yield piece[:need]
                 need -= len(piece)

@@ -1,8 +1,12 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from morphcert import certify
 from morphcert.certify import (
     CASE_BETA_LT_ALPHA,
     CASE_SUPER_UNIT_ALPHA,
@@ -23,8 +27,9 @@ from morphcert.certify import (
 )
 from morphcert.errors import DomainError
 from morphcert.spectral import GrowthClass, LetterGrowthClass
+from morphcert.words import checkpoints, count_matrix, count_vectors
 
-from conftest import MORPHISM_DIR
+from conftest import MORPHISM_DIR, chain, column, make_system
 
 
 def logdamped_counts(C, gamma, ns, *, rounded=False):
@@ -328,3 +333,255 @@ class TestReportJson:
         assert doc["polyexp"] is None
         assert doc["verdict"] is None
         assert doc["conclusion"] == CONCLUSION_INCONCLUSIVE
+
+
+# --- level counts against the per-level walk ----------------------------------
+
+def _walk_counts(rows, start, targets, max_n):
+    """The per-level count-vector walk that the doubling blocks replaced."""
+    ns, counts = [], []
+    for c in count_vectors(rows, bytes([start])):
+        if sum(c) > max_n:
+            break
+        ns.append(sum(c))
+        counts.append(sum(c[t] for t in targets))
+    return ns, counts
+
+
+def _assert_level_counts(sys, symbol, max_n):
+    rows = count_matrix(sys.morphism)
+    targets = sys.letters_for(symbol)
+    got = certify._level_counts(rows, sys.start, targets, max_n)
+    assert got == _walk_counts(rows, sys.start, targets, max_n)
+    assert all(type(x) is int for col in got for x in col)
+
+
+@st.composite
+def _prolongable(draw):
+    letters = "abcd"[:draw(st.integers(2, 4))]
+    ids = st.sampled_from(letters)
+    rules = {"a": ["a"] + draw(st.lists(ids, min_size=1, max_size=2))}
+    for lid in letters[1:]:
+        # fixed letters and one-letter images give alpha = 1 and cycles
+        rules[lid] = draw(st.one_of(
+            st.just([lid]),
+            st.lists(ids, min_size=1, max_size=1),
+            st.lists(ids, min_size=1, max_size=3),
+        ))
+    return make_system(letters, rules, "a")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prolongable(), st.integers(0, 45), st.integers(-1, 1), st.data())
+def test_level_counts_match_walk(sys, k, offset, data):
+    # N_45 reaches up to 3^45 > 2^63: both the int64 blocks and the Python-int path
+    symbol = data.draw(st.sampled_from(sys.symbols()))
+    n_k = checkpoints(sys, k).lengths()[-1]
+    _assert_level_counts(sys, symbol, n_k + offset)
+
+
+class TestLevelCounts:
+    def test_linear_words_around_checkpoints(self):
+        for sys in (column(), chain()):
+            for k in (0, 1, 2, 3, 63, 64, 65, 1000, 2047):
+                n_k = checkpoints(sys, k).lengths()[-1]
+                for max_n in (n_k - 1, n_k, n_k + 1):
+                    for symbol in sys.symbols():
+                        _assert_level_counts(sys, symbol, max_n)
+
+    def test_last_block_wraps_int64(self):
+        # N_k = (3^k + 1) / 2: the block of levels 32..63 reaches N_63 > 2^64,
+        # so it wraps in int64 and only the shadow tells its good columns
+        sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
+        assert checkpoints(sys, 63).lengths()[-1] > 2**64
+        for symbol in ("a", "b"):
+            _assert_level_counts(sys, symbol, 2**50)
+            _assert_level_counts(sys, symbol, 2**62 - 1)
+
+    def test_max_n_beyond_int64(self):
+        sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
+        n_39, n_40 = checkpoints(sys, 40).lengths()[-2:]
+        assert n_39 < 2**62 < n_40 < 2**63
+        for max_n in (2**62, n_40 - 1, n_40, 2**63, 2**64 + 1, 10**40):
+            _assert_level_counts(sys, "b", max_n)
+
+    def test_unreachable_fast_letter(self):
+        # b -> c -> d -> bc grows by the plastic number 1.3247..., so the block
+        # of levels 128..255 is built and wraps int64 from level 153 on. z is
+        # never reached from a, but its float entries of M^128 overflow
+        # (2000^128), and 0 * inf would put NaN where the shadow must decide
+        letters = ("a", "b", "c", "d", "z")
+        rules = {"a": ["a", "b"], "b": ["c"], "c": ["d"], "d": ["b", "c"], "z": ["z"] * 2000}
+        sys = make_system(letters, rules, "a")
+        lengths = checkpoints(sys, 255).lengths()
+        assert lengths[145] <= 2**60 < lengths[146] and lengths[255] > 2**64
+        for max_n in (0, 1, 2, 5000, 2**60):
+            _assert_level_counts(sys, "b", max_n)
+
+    def test_certify_reads_level_counts(self, tmp_path):
+        path = tmp_path / "triple.morph"
+        path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")
+        report = certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=2**50))
+        sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
+        ns, counts = _walk_counts(count_matrix(sys.morphism), 0, (0,), 2**50)
+        assert report.checkpoints == tuple(zip(ns, counts))
+
+
+# --- fits against the list-comprehension bodies they replaced -----------------
+
+def _ref_fit_points(points, min_x, what):
+    if len(points) < certify.MIN_FIT_POINTS:
+        raise DomainError(f"{what} needs >= {certify.MIN_FIT_POINTS} points, got {len(points)}")
+    for x, c in points:
+        if x < min_x:
+            raise DomainError(f"{what} needs all first coordinates >= {min_x}")
+        if c < 1:
+            raise DomainError(f"{what} needs all counts >= 1")
+
+
+def _ref_fit_logdamped(points):
+    _ref_fit_points(points, 3.0, "logdamped fit")
+    x = np.array([math.log(math.log(n)) for n, _ in points])
+    y = np.array([math.log(n / c) for n, c in points])
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    rms = float(np.sqrt(np.mean(resid * resid)))
+    return DensityProfile(math.exp(-float(coef[0])), float(coef[1]), rms, len(points))
+
+
+def _ref_fit_polyexp(points):
+    _ref_fit_points(points, 1.0, "polyexp fit")
+    ks = [k for k, _ in points]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise DomainError("polyexp fit needs strictly increasing k")
+    k = np.array(ks, dtype=float)
+    y = np.array([math.log(c) for _, c in points])
+    design = np.column_stack([np.ones_like(k), np.log(k), k])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    rms = float(np.sqrt(np.mean(resid * resid)))
+    return PolyExpProfile(float(coef[0]), float(coef[1]), float(coef[2]), rms)
+
+
+def _ref_gamma_confidence(points, profile, level=0.95):
+    from scipy.special import stdtrit
+
+    n = len(points)
+    if n < 3:
+        raise DomainError("confidence interval needs >= 3 points")
+    x = np.array([math.log(math.log(p)) for p, _ in points])
+    y = np.array([math.log(p / c) for p, c in points])
+    xbar = x.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    resid = y - (-math.log(profile.C) + profile.gamma * x)
+    dof = n - 2
+    s2 = float(np.sum(resid * resid)) / dof
+    se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
+    tq = float(stdtrit(dof, 0.5 + level / 2.0))
+    return (profile.gamma - tq * se, profile.gamma + tq * se)
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _outcome(fn, *args):
+    """The fields of a fit as float.hex strings, or the error it raises."""
+    try:
+        out = fn(*args)
+    except DomainError as exc:
+        return ("error", str(exc))
+    fields = out if isinstance(out, tuple) else tuple(out.__dict__.values())
+    return _hex(fields)
+
+
+# one flaw in a third of the draws
+_flaw = st.sampled_from([None, None, None, None, None, None, "x", "count", "order"])
+
+
+def _uniform_int(rng, bits):
+    # every bit random: hypothesis's own large integers mostly end in zero
+    # bits, and those convert to float exactly
+    return rng.randrange(1 << rng.randint(2, bits))
+
+
+@st.composite
+def _logdamped_points(draw):
+    # N and counts above 2^53, where int true division and float division differ
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ns = [3 + _uniform_int(rng, 80) for _ in range(draw(st.integers(8, 40)))]
+    points = [(n, rng.randint(rng.choice((1, n // 3)), n)) for n in ns]
+    flaw = draw(_flaw)
+    i = draw(st.integers(0, len(points) - 1))
+    if flaw == "x":
+        points[i] = (2, 1)
+    elif flaw == "count":
+        points[i] = (points[i][0], 0)
+    elif flaw == "order":
+        points = points[:7]  # too few
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logdamped_points(), st.sampled_from([0.9, 0.95, 0.99]))
+def test_logdamped_matches_reference(points, level):
+    want = _outcome(_ref_fit_logdamped, points)
+    columns = certify._FitPoints.of(points)
+    assert _outcome(fit_logdamped, points) == want
+    assert _outcome(fit_logdamped, columns) == want
+    if want[0] != "error":
+        profile = _ref_fit_logdamped(points)
+        ci = _outcome(_ref_gamma_confidence, points, profile, level)
+        assert _outcome(gamma_confidence, points, profile, level) == ci
+        # certify hands the same columns to the fit and to the interval
+        assert _outcome(gamma_confidence, columns, profile, level) == ci
+
+
+@st.composite
+def _polyexp_points(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ks = sorted({1 + _uniform_int(rng, 60) for _ in range(draw(st.integers(8, 40)))})
+    if len(ks) < 8:
+        ks = list(range(1, 9))
+    points = [(k, 1 + _uniform_int(rng, rng.choice((6, 80)))) for k in ks]
+    flaw = draw(_flaw)
+    i = draw(st.integers(1, len(points) - 1))
+    if flaw == "x":
+        points[i] = (0, 1)
+    elif flaw == "count":
+        points[i] = (points[i][0], 0)
+    elif flaw == "order":
+        points[i] = (points[i - 1][0], points[i][1])
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polyexp_points())
+def test_polyexp_matches_reference(points):
+    want = _outcome(_ref_fit_polyexp, points)
+    assert _outcome(fit_polyexp, points) == want
+    assert _outcome(fit_polyexp, certify._FitPoints.of(points)) == want
+
+
+def test_fit_errors_name_the_first_bad_point():
+    good = [(2**j, 2**j // 3) for j in range(10, 20)]
+    count_first = good[:2] + [(4096, 0)] + good[3:5] + [(2, 1)] + good[6:]
+    x_first = good[:2] + [(2, 1)] + good[3:5] + [(4096, 0)] + good[6:]
+    for points in (count_first, x_first):
+        want = _outcome(_ref_fit_logdamped, points)
+        assert want[0] == "error"
+        assert _outcome(fit_logdamped, points) == want
+        pe = [(k, c) for k, (_, c) in enumerate(points)]
+        assert _outcome(fit_polyexp, pe) == _outcome(_ref_fit_polyexp, pe)
+
+
+def test_fits_take_math_log_of_each_int():
+    # np.log differs from math.log in the last bit on some integers: ln N at
+    # N = 9170 and 19143, ln ln N at N = 5431, 9204 and 15602
+    ld = [(n, 1) for n in (5431, 9170, 9204, 15602, 19143, 32581, 33326, 35332)]
+    pe = [(k, k) for k in range(4095, 40000)]
+    profile = fit_logdamped(certify._FitPoints.of(ld))
+    assert _hex(profile.__dict__.values()) == _hex(_ref_fit_logdamped(ld).__dict__.values())
+    assert _hex(gamma_confidence(ld, profile)) == _hex(_ref_gamma_confidence(ld, profile))
+    assert _hex(fit_polyexp(pe).__dict__.values()) == _hex(_ref_fit_polyexp(pe).__dict__.values())

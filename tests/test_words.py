@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -373,6 +374,13 @@ def _cycle():
     return make_system("abc", {"a": ["a", "b"], "b": ["c"], "c": ["b"]}, "a")
 
 
+def _two_cycles():
+    # w = be: b -> c -> d -> b and e -> f -> e, so the blocks cycle with period 6
+    return make_system("abcdef", {
+        "a": ["a", "b", "e"], "b": ["c"], "c": ["d"], "d": ["b"], "e": ["f"], "f": ["e"],
+    }, "a")
+
+
 def _fixed_tail():
     # w = bc is fixed by phi, so every block after b is bc
     return make_system("abc", {"a": ["a", "b", "c"], "b": ["b"], "c": ["c"]}, "a")
@@ -385,7 +393,7 @@ def _grows_into_block():
 
 class TestPrefixBlocks:
     @pytest.mark.parametrize(
-        "make", [column, chain, _cycle, _fixed_tail, _grows_into_block]
+        "make", [column, chain, _cycle, _two_cycles, _fixed_tail, _grows_into_block]
     )
     def test_around_checkpoints(self, make):
         sys = make()
@@ -412,6 +420,18 @@ class TestPrefixBlocks:
         assert len(list(_prefix_blocks(tm, 2**20))) <= 22
         # column repeats its fixed block b in 64 KiB pieces
         assert count_in_prefix(column(), "b", 10**8) == 10**8 - 1
+
+    @pytest.mark.parametrize("make,period", [(_cycle, "bc"), (_two_cycles, "becfdebfcedf")])
+    def test_cycling_blocks_repeat_in_pieces(self, make, period):
+        # once a block comes back, the period's blocks repeat in 64 KiB pieces
+        # instead of one level (here one or two letters) at a time
+        sys = make()
+        n = 10**6
+        assert len(list(_prefix_blocks(sys, n))) <= math.log2(n) + 16
+        word = "a" + period * (n // len(period) + 1)
+        for cut in (n - 1, n, 65536 * 3 + 7):
+            assert "".join(fixed_point_stream(sys, cut)) == word[:cut]
+        assert count_in_prefix(sys, "b", n) == word[:n].count("b")
 
 
 # --- properties -------------------------------------------------------------
