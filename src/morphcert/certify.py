@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -369,7 +370,7 @@ def _sieve_counts(key: str, config: CertifyConfig):
     table = sieve_table(key, config.max_n, config.mem_budget)
     cps = geometric_checkpoints(config.n0, config.ratio, config.max_n)
     entries = numtheory.count_series(table, cps).entries
-    return [n for n, _ in entries], [c for _, c in entries], None, None
+    return [n for n, _ in entries], [c for _, c in entries]
 
 
 # The float shadow errs by far less than a third, so a shadow below _WIDE means
@@ -417,27 +418,19 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
     return n[:cut].tolist(), v[list(targets), :cut].sum(axis=0).tolist()
 
 
-def _morphic_counts(path: Path, config: CertifyConfig):
-    system = words.parse_morphism_file(path)
-    symbol = config.symbol if config.symbol is not None else system.coding[system.start]
-    targets = system.letters_for(symbol)
-    rows = spectral.incidence_matrix(system.morphism).entries
-    ns, counts = _level_counts(rows, system.start, targets, config.max_n)
-    growth = spectral.growth_class(system.morphism, system.start)
-    letter_growth = spectral.symbol_growth_class(system, symbol)
-    return ns, counts, growth, letter_growth
-
-
 def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
     """Full pipeline: counts at checkpoints, both fits, margin selection, verdict."""
     config = config or CertifyConfig()
     key, path = resolve_source(source)
     morphic = path is not None
     if morphic:
-        ns, counts, growth, letter_growth = _morphic_counts(path, config)
+        system = words.parse_morphism_file(path)
+        symbol = config.symbol if config.symbol is not None else system.coding[system.start]
+        rows = spectral.incidence_matrix(system.morphism).entries
+        ns, counts = _level_counts(rows, system.start, system.letters_for(symbol), config.max_n)
         sequence_id = source
     else:
-        ns, counts, growth, letter_growth = _sieve_counts(key, config)
+        ns, counts = _sieve_counts(key, config)
         sequence_id = key
     checkpoints = tuple(zip(ns, counts))
 
@@ -445,14 +438,15 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     # (Cor.-style counts live along it); sieve checkpoints have no intrinsic
     # iteration index, so the included points are indexed 1, 2, ... — on a
     # geometric schedule ln N is affine in that index, which is the role k
-    # plays along morphic checkpoints, and the offset is a fixed convention
-    usable = [n >= config.min_fit_n and c >= 1 for n, c in checkpoints]
-    if morphic and usable:
-        usable[0] = False
-    fit_counts = list(compress(counts, usable))
-    ld_points = _FitPoints(list(compress(ns, usable)), fit_counts)
+    # plays along morphic checkpoints, and the offset is a fixed convention.
+    # N rises strictly along the checkpoints and the counts never fall (each
+    # counts a prefix of the next), so the usable points (N >= min_fit_n,
+    # count >= 1, not level 0 of a morphic source) are a suffix
+    start = max(bisect_left(ns, config.min_fit_n), bisect_left(counts, 1), int(morphic))
+    fit_counts = counts[start:]
+    ld_points = _FitPoints(ns[start:], fit_counts)
     if morphic:
-        pe_points = _FitPoints(list(compress(range(len(ns)), usable)), fit_counts)
+        pe_points = _FitPoints(range(start, len(ns)), fit_counts)
     else:
         pe_points = _FitPoints(range(1, len(fit_counts) + 1), fit_counts)
 
@@ -467,15 +461,19 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
 
     verdict = None
     if (
-        growth is not None
-        and letter_growth is not None
+        morphic
         and logdamped is not None
         # bounded away from 0 and 1: a fitted gamma within float noise of the
         # endpoints means the data is effectively undamped (or fully damped)
         # and the case analysis would be vacuous
         and CASE_RTOL < logdamped.gamma < 1.0 - CASE_RTOL
     ):
-        verdict = theorem1_verdict(growth, letter_growth, logdamped.gamma)
+        # the growth classes feed only the verdict, so only it computes them
+        verdict = theorem1_verdict(
+            spectral.growth_class(system.morphism, system.start),
+            spectral.symbol_growth_class(system, symbol),
+            logdamped.gamma,
+        )
 
     if (
         preferred == "logdamped"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
@@ -217,49 +218,47 @@ class LetterGrowthClass:
     eventually_zero: bool
 
 
-def _path_class(dag: ComponentDag, nodes: set[int], sink: int | None):
-    """(value, poly degree + 1, T) of the dominant chains within `nodes`.
+def _path_class(dag: ComponentDag, sink: int | None):
+    """(value, poly degree + 1, T) of the dominant chains from the root.
 
-    Longest-path DP where a component weighs 1 iff its Perron value achieves
-    the max over `nodes`; T is the lcm of cyclicities of achieving components
-    that lie on at least one maximizing path. `sink` restricts paths to those
-    ending at that component (None = any endpoint).
+    Longest-path DP over the components that reach `sink` (all components
+    when `sink` is None), where a component weighs 1 iff its Perron value
+    achieves the max over them and 0 elsewhere; T is the lcm of cyclicities
+    of achieving components that lie on at least one maximizing path.
     """
     comps = dag.components
-    value = max(comps[u].rho for u in nodes)
-    achieving = {u for u in nodes if comps[u].rho >= value - ACHIEVE_RTOL * value}
-    succ: dict[int, list[int]] = {u: [] for u in nodes}
-    pred: dict[int, list[int]] = {u: [] for u in nodes}
+    succ: list[list[int]] = [[] for _ in comps]
     for u, v in dag.edges:
-        if u in nodes and v in nodes:
-            succ[u].append(v)
-            pred[v].append(u)
-    order = [u for u in nx.topological_sort(_as_digraph(nodes, dag.edges))]
-    weight = {u: (1 if u in achieving else 0) for u in nodes}
-    # `nodes` is path-closed (every node lies on a root..sink path when a sink
-    # is given), so maximal paths end at the sink and weights >= 0 make the
-    # unconstrained DP equal the sink-constrained one
-    f = {u: 0 for u in nodes}  # best weight of a path starting at u
-    for u in reversed(order):
-        tails = [f[v] for v in succ[u]]
-        f[u] = weight[u] + (max(tails) if tails else 0)
+        succ[u].append(v)
+
+    # both recursions follow DAG edges, so their depth is at most MAX_DIM
+    @cache
+    def reaches(u: int) -> bool:
+        return sink is None or u == sink or any(map(reaches, succ[u]))
+
+    value = max(c.rho for u, c in enumerate(comps) if reaches(u))
+    weight = [int(reaches(u) and c.rho >= value - ACHIEVE_RTOL * value)
+              for u, c in enumerate(comps)]
+
+    @cache
+    def best(u: int) -> int:  # best weight of a path starting at u
+        return weight[u] + max(map(best, succ[u]), default=0)
+
+    # a component is on a maximizing path iff the root reaches it along edges
+    # u -> v with best(u) == weight[u] + best(v). A component that misses the
+    # sink weighs 0, and so does all it reaches, so paths through it change
+    # neither best nor the period
     root = dag.root_component
-    g = {u: 0 for u in nodes}  # best weight of a path root..u
-    for u in order:
-        heads = [g[p] for p in pred[u]]
-        g[u] = weight[u] + (max(heads) if heads else 0)
-    total = f[root]
-    on_max = {u for u in nodes if g[u] + f[u] - weight[u] == total}
-    period = math.lcm(*(comps[u].cyclicity for u in achieving & on_max)) \
-        if achieving & on_max else 1
-    return value, total, period
-
-
-def _as_digraph(nodes: set[int], edges) -> "nx.DiGraph":
-    h = nx.DiGraph()
-    h.add_nodes_from(nodes)
-    h.add_edges_from((u, v) for u, v in edges if u in nodes and v in nodes)
-    return h
+    on_max = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v in succ[u]:
+            if v not in on_max and best(u) == weight[u] + best(v):
+                on_max.add(v)
+                stack.append(v)
+    period = math.lcm(*(comps[u].cyclicity for u in on_max if weight[u]))
+    return value, best(root), period
 
 
 def _fit_constant(
@@ -287,55 +286,54 @@ def _fit_constant(
 
 def growth_class(m: Morphism, a) -> GrowthClass:
     """Constructive (alpha, l, T) for |phi^k(a)|, plus a fitted G estimate."""
-    dag = scc_dag(m, a)
-    nodes = set(range(len(dag.components)))
-    alpha, total, period = _path_class(dag, nodes, sink=None)
-    src = _letter_index(m, a)
-    G = _fit_constant(incidence_matrix(m), src, None, alpha, total - 1, period)
+    alpha, total, period = _path_class(scc_dag(m, a), None)
+    G = _fit_constant(incidence_matrix(m), _letter_index(m, a), None, alpha, total - 1, period)
     return GrowthClass(alpha, total - 1, period, G)
 
 
-def _targets_class(m: Morphism, dag: ComponentDag, src: int, targets) -> LetterGrowthClass:
-    """Constructive (beta, m, T) and G' for the summed counts of `targets` in phi^k(src).
+def _targets_class(dag: ComponentDag, targets) -> tuple[float, int, int, tuple[int, ...]]:
+    """(beta, m, T, live targets) for the summed counts of `targets` in phi^k(root).
 
-    `dag` is scc_dag(m, src). A target is eventually zero iff it is
-    unreachable or the largest Perron value on its root..target paths is 0.
-    A component with a cycle has Perron value >= 1 (nonnegative integer,
-    irreducible); a cycle-free singleton's is exactly 0.0 (power iteration on
-    [[0]] + I). So 0 means no cycle on any path: occurrence paths are shorter
-    than d and counts vanish for k >= d, while a cycle can be pumped into
-    occurrences for infinitely many k.
+    A target is eventually zero, and not live, iff it is unreachable or the
+    largest Perron value on its root..target paths is 0. A component with a
+    cycle has Perron value >= 1 (nonnegative integer, irreducible); a
+    cycle-free singleton's is exactly 0.0 (power iteration on [[0]] + I). So
+    0 means no cycle on any path: occurrence paths are shorter than d and
+    counts vanish for k >= d, while a cycle can be pumped into occurrences
+    for infinitely many k. With no live target the class is (0.0, 0, 1, ()).
     """
-    h = _as_digraph(set(range(len(dag.components))), dag.edges)
     live = []  # (target, beta, m, T) of the targets that are not eventually zero
     for t in targets:
         if t in dag.comp_of:
-            cb = dag.comp_of[t]
-            nodes = set(nx.ancestors(h, cb)) | {cb}  # exactly the components on root..cb paths
-            beta, total, period = _path_class(dag, nodes, sink=cb)
+            beta, total, period = _path_class(dag, dag.comp_of[t])
             if beta > 0.0:
                 live.append((t, beta, total - 1, period))
     if not live:
-        return LetterGrowthClass(0.0, 0, 1, None, True)
+        return 0.0, 0, 1, ()
     beta = max(p[1] for p in live)
     achieving = [p for p in live if p[1] >= beta - ACHIEVE_RTOL * beta]
     deg = max(p[2] for p in achieving)
     period = math.lcm(*(p[3] for p in achieving))
-    alive = tuple(p[0] for p in live)
-    Gp = _fit_constant(incidence_matrix(m), src, alive, beta, deg, period)
+    return beta, deg, period, tuple(p[0] for p in live)
+
+
+def _targets_growth_class(m: Morphism, src: int, targets) -> LetterGrowthClass:
+    """The class of the summed `targets` counts in phi^k(src), with its G' fit."""
+    beta, deg, period, live = _targets_class(scc_dag(m, src), targets)
+    if not live:
+        return LetterGrowthClass(beta, deg, period, None, True)
+    Gp = _fit_constant(incidence_matrix(m), src, live, beta, deg, period)
     return LetterGrowthClass(beta, deg, period, Gp, False)
 
 
 def letter_growth_class(m: Morphism, a, b) -> LetterGrowthClass:
     """Constructive (beta, m, T) for |phi^k(a)|_b, plus a fitted G' estimate."""
-    src, tgt = _letter_index(m, a), _letter_index(m, b)
-    return _targets_class(m, scc_dag(m, a), src, (tgt,))
+    return _targets_growth_class(m, _letter_index(m, a), (_letter_index(m, b),))
 
 
 def symbol_growth_class(sys: MorphicSystem, symbol: str) -> LetterGrowthClass:
     """Growth of symbol counts in phi^k(start), aggregated over coding preimages."""
-    targets = sys.letters_for(symbol)
-    return _targets_class(sys.morphism, scc_dag(sys.morphism, sys.start), sys.start, targets)
+    return _targets_growth_class(sys.morphism, sys.start, sys.letters_for(symbol))
 
 
 def analysis_report(sys: MorphicSystem) -> dict:
@@ -343,7 +341,7 @@ def analysis_report(sys: MorphicSystem) -> dict:
     m = sys.morphism
     M = incidence_matrix(m)
     dag = scc_dag(m, sys.start)
-    growth = growth_class(m, sys.start)
+    alpha, total, period = _path_class(dag, None)
     ids = m.alphabet.letters
     components = [
         {
@@ -355,21 +353,17 @@ def analysis_report(sys: MorphicSystem) -> dict:
     ]
     letter_growth = {}
     for sym in sys.symbols():
-        cls = _targets_class(m, dag, sys.start, sys.letters_for(sym))
-        letter_growth[sym] = {
-            "beta": cls.beta,
-            "m": cls.m,
-            "eventually_zero": cls.eventually_zero,
-        }
+        beta, deg, _, live = _targets_class(dag, sys.letters_for(sym))
+        letter_growth[sym] = {"beta": beta, "m": deg, "eventually_zero": not live}
     return {
         "alphabet": list(ids),
         "incidence_matrix": [[str(e) for e in row] for row in M.entries],
         "components": components,
         "growth": {
-            "alpha": growth.alpha,
-            "l": growth.l,
-            "T": growth.T,
-            "G_estimate": growth.G_estimate,
+            "alpha": alpha,
+            "l": total - 1,
+            "T": period,
+            "G_estimate": _fit_constant(M, sys.start, None, alpha, total - 1, period),
         },
         "letter_growth": letter_growth,
     }

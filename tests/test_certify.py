@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphcert import certify
+from morphcert import certify, spectral
 from morphcert.certify import (
     CASE_BETA_LT_ALPHA,
     CASE_SUPER_UNIT_ALPHA,
@@ -301,6 +301,81 @@ class TestCertifyPipeline:
         a = certify_nonmorphic("s2", CertifyConfig(max_n=2**16))
         b = certify_nonmorphic("s2", CertifyConfig(max_n=2**16))
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+class TestGrowthClassesOnlyForVerdict:
+    # a -> abb, b -> c, c -> aa counted on "0" = {a, c}: alpha > 1 and the
+    # fitted gamma is about 0.01, so the case analysis runs
+    VERDICT_SPEC = (
+        "letters: a b c\nstart: a\ncoding: a=0 b=1 c=0\na -> a b b\nb -> c\nc -> a a\n"
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("growth_class", "symbol_growth_class"):
+            real = getattr(spectral, name)
+            monkeypatch.setattr(
+                spectral, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+            )
+        return calls
+
+    def test_no_verdict_computes_no_growth_class(self, calls):
+        report = certify_nonmorphic(f"morphic:{MORPHISM_DIR / 'thue_morse.morph'}")
+        assert report.verdict is None
+        assert calls == []
+
+    def test_verdict_computes_each_growth_class_once(self, calls, tmp_path):
+        path = tmp_path / "verdict.morph"
+        path.write_text(self.VERDICT_SPEC, encoding="utf-8")
+        report = certify_nonmorphic(f"morphic:{path}")
+        assert 0.0 < report.logdamped.gamma < 0.1
+        assert report.verdict.case_id == CASE_SUPER_UNIT_ALPHA
+        assert sorted(calls) == ["growth_class", "symbol_growth_class"]
+
+
+def _masked_points(report, morphic):
+    """How many checkpoints the usable-point mask keeps: N >= min_fit_n,
+    count >= 1, and not level 0 of a morphic source."""
+    return sum(
+        n >= report.config.min_fit_n and c >= 1 and (i > 0 or not morphic)
+        for i, (n, c) in enumerate(report.checkpoints)
+    )
+
+
+def _assert_fit_points_as_masked(report, morphic):
+    want = _masked_points(report, morphic)
+    if want >= certify.MIN_FIT_POINTS:
+        assert report.logdamped.n_points == want
+    else:
+        assert report.logdamped is None and report.polyexp is None
+
+
+class TestUsableSuffix:
+    @pytest.mark.parametrize("max_n", [4095, 4096, 4097])
+    @pytest.mark.parametrize("min_fit_n", [4088, 4089, 4090, 4096])
+    def test_column_around_max_n(self, max_n, min_fit_n):
+        # N_k = k + 1: a checkpoint at every N up to max_n
+        src = f"morphic:{MORPHISM_DIR / 'column.morph'}"
+        report = certify_nonmorphic(src, CertifyConfig(max_n=max_n, min_fit_n=min_fit_n))
+        assert report.checkpoints[-1][0] == max_n
+        _assert_fit_points_as_masked(report, True)
+
+    @pytest.mark.parametrize("max_n", [4095, 4096, 4097])
+    @pytest.mark.parametrize("min_fit_n", [4080, 4087, 4096])
+    def test_sieve_around_max_n(self, max_n, min_fit_n):
+        # steps of one or two between checkpoints
+        config = CertifyConfig(max_n=max_n, n0=4060, ratio=1.0003, min_fit_n=min_fit_n)
+        _assert_fit_points_as_masked(certify_nonmorphic("s2", config), False)
+
+    @pytest.mark.parametrize("min_fit_n", [1, 2, 4, 5, 8])
+    def test_symbol_with_leading_zero_counts(self, min_fit_n):
+        # c first occurs in phi^2(a) = abbc, so the counts start 0, 0, 1
+        src = f"morphic:{MORPHISM_DIR / 'chain.morph'}"
+        report = certify_nonmorphic(src, CertifyConfig(max_n=2**12, symbol="c",
+                                                       min_fit_n=min_fit_n))
+        assert [c for _, c in report.checkpoints[:3]] == [0, 0, 1]
+        _assert_fit_points_as_masked(report, True)
 
 
 class TestReportJson:
