@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
@@ -37,6 +37,14 @@ CONCLUSION_INCONCLUSIVE = "inconclusive"
 
 MIN_FIT_POINTS = 8
 CASE_RTOL = 1e-9
+# the one decision rule: a report shows the sieve grid N0, RATIO as its
+# checkpoints and prints the rest in its "config" block
+N0 = 1024               # sieve checkpoints are floor(N0 * RATIO^j) <= max_n
+RATIO = 2.0
+MIN_FIT_N = 4096        # checkpoints below this are transient regime
+RESIDUAL_MARGIN = 0.7   # winner needs RMS <= margin * loser's RMS
+EXACT_FIT_FLOOR = 1e-6  # polyexp RMS below this is an exact morphic fit
+CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,7 @@ class CaseVerdict:
 @dataclass(frozen=True)
 class CertifyConfig:
     max_n: int = 2**20
-    n0: int = 1024
-    ratio: float = 2.0
-    min_fit_n: int = 4096          # checkpoints below this are transient regime
-    residual_margin: float = 0.7   # winner needs RMS <= margin * loser's RMS
-    exact_fit_floor: float = 1e-6  # polyexp RMS below this is an exact morphic fit
-    ci_level: float = 0.95
-    symbol: str | None = None      # morphic sources: which output symbol to count
+    symbol: str | None = None  # morphic sources: which output symbol to count
     mem_budget: int = numtheory.DEFAULT_MEM_BYTES
 
 
@@ -123,10 +125,10 @@ class CertificateReport:
             "notes": self.notes,
             "config": {
                 "log_base": "e",
-                "min_N": self.config.min_fit_n,
-                "margin": self.config.residual_margin,
-                "exact_fit_floor": self.config.exact_fit_floor,
-                "ci_level": self.config.ci_level,
+                "min_N": MIN_FIT_N,
+                "margin": RESIDUAL_MARGIN,
+                "exact_fit_floor": EXACT_FIT_FLOOR,
+                "ci_level": CI_LEVEL,
                 "case_rtol": CASE_RTOL,
             },
         }
@@ -222,7 +224,7 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
 def gamma_confidence(
     points: Sequence[tuple[float, float]],
     profile: DensityProfile,
-    level: float = 0.95,
+    level: float = CI_LEVEL,
 ) -> tuple[float, float]:
     """Symmetric t-interval for gamma from the regression slope standard error."""
     # deferred: only fits need scipy; scipy.special imports in under half the
@@ -287,16 +289,15 @@ def theorem1_verdict(
 def select_model(
     logdamped: DensityProfile | None,
     polyexp: PolyExpProfile | None,
-    config: CertifyConfig,
 ) -> str | None:
     """Residual-margin winner, with an exactness floor for the morphic null."""
     if logdamped is None or polyexp is None:
         return None
-    if polyexp.fit_residual <= config.exact_fit_floor:
+    if polyexp.fit_residual <= EXACT_FIT_FLOOR:
         return "polyexp"
-    if logdamped.fit_residual <= config.residual_margin * polyexp.fit_residual:
+    if logdamped.fit_residual <= RESIDUAL_MARGIN * polyexp.fit_residual:
         return "logdamped"
-    if polyexp.fit_residual <= config.residual_margin * logdamped.fit_residual:
+    if polyexp.fit_residual <= RESIDUAL_MARGIN * logdamped.fit_residual:
         return "polyexp"
     return None
 
@@ -368,7 +369,7 @@ def _sieve_counts(key: str, config: CertifyConfig):
     if config.symbol is not None:
         raise DomainError(f"a symbol applies only to morphic sources, not to {key!r}")
     table = sieve_table(key, config.max_n, config.mem_budget)
-    cps = geometric_checkpoints(config.n0, config.ratio, config.max_n)
+    cps = geometric_checkpoints(N0, RATIO, config.max_n)
     entries = numtheory.count_series(table, cps).entries
     return [n for n, _ in entries], [c for _, c in entries]
 
@@ -440,9 +441,9 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     # geometric schedule ln N is affine in that index, which is the role k
     # plays along morphic checkpoints, and the offset is a fixed convention.
     # N rises strictly along the checkpoints and the counts never fall (each
-    # counts a prefix of the next), so the usable points (N >= min_fit_n,
+    # counts a prefix of the next), so the usable points (N >= MIN_FIT_N,
     # count >= 1, not level 0 of a morphic source) are a suffix
-    start = max(bisect_left(ns, config.min_fit_n), bisect_left(counts, 1), int(morphic))
+    start = max(bisect_left(ns, MIN_FIT_N), bisect_left(counts, 1), int(morphic))
     fit_counts = counts[start:]
     ld_points = _FitPoints(ns[start:], fit_counts)
     if morphic:
@@ -452,12 +453,8 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
 
     logdamped = fit_logdamped(ld_points) if len(ld_points) >= MIN_FIT_POINTS else None
     polyexp = fit_polyexp(pe_points) if len(pe_points) >= MIN_FIT_POINTS else None
-    gamma_ci = (
-        gamma_confidence(ld_points, logdamped, config.ci_level)
-        if logdamped is not None
-        else None
-    )
-    preferred = select_model(logdamped, polyexp, config)
+    gamma_ci = gamma_confidence(ld_points, logdamped) if logdamped is not None else None
+    preferred = select_model(logdamped, polyexp)
 
     verdict = None
     if (
@@ -469,11 +466,7 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
         and CASE_RTOL < logdamped.gamma < 1.0 - CASE_RTOL
     ):
         # the growth classes feed only the verdict, so only it computes them
-        verdict = theorem1_verdict(
-            spectral.growth_class(system.morphism, system.start),
-            spectral.symbol_growth_class(system, symbol),
-            logdamped.gamma,
-        )
+        verdict = theorem1_verdict(*spectral._verdict_classes(system, symbol), logdamped.gamma)
 
     if (
         preferred == "logdamped"

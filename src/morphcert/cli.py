@@ -112,12 +112,12 @@ def cmd_seq_gen(args) -> int:
         bits = certify.sieve_table(key, args.N, budget).bits
     else:
         system = words.parse_morphism_file(path)
+        if args.format == "bits" and any(s not in ("0", "1") for s in system.symbols()):
+            raise ValidationError("--format bits needs a coding onto symbols 0 and 1")
         symbols = words.fixed_point_stream(system, args.N)
         if args.format == "ascii":
             sys.stdout.write("".join(symbols) + "\n")
             return EXIT_OK
-        if any(s not in ("0", "1") for s in system.symbols()):
-            raise ValidationError("--format bits needs a coding onto symbols 0 and 1")
         bits = np.frombuffer("".join(symbols).encode("ascii"), np.uint8) - ord("0")
     # block by block, so the output costs O(block) beside the table
     blocks = (bits[lo:lo + numtheory._BLOCK] for lo in range(0, bits.size, numtheory._BLOCK))
@@ -169,7 +169,7 @@ def cmd_seq_count(args) -> int:
 def _read_counts_csv(path: Path) -> list[tuple[int, int]]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     rows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -181,7 +181,10 @@ def _read_counts_csv(path: Path) -> list[tuple[int, int]]:
             continue  # header row
         if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
             raise ParseError(f"{path}:{lineno}: expected 'N,count', got {line!r}")
-        rows.append((int(fields[0]), int(fields[1])))
+        try:
+            rows.append((int(fields[0]), int(fields[1])))
+        except ValueError as exc:  # "--5" and "²" pass isdigit; int() also caps digits
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 

@@ -336,6 +336,19 @@ def symbol_growth_class(sys: MorphicSystem, symbol: str) -> LetterGrowthClass:
     return _targets_growth_class(sys.morphism, sys.start, sys.letters_for(symbol))
 
 
+def _verdict_classes(sys: MorphicSystem, symbol: str) -> tuple[GrowthClass, LetterGrowthClass]:
+    """growth_class of the start letter and symbol_growth_class of `symbol`
+    from one condensation, without the G and G' fits the case analysis never
+    reads."""
+    dag = scc_dag(sys.morphism, sys.start)
+    alpha, total, period = _path_class(dag, None)
+    beta, deg, beta_period, live = _targets_class(dag, sys.letters_for(symbol))
+    return (
+        GrowthClass(alpha, total - 1, period, None),
+        LetterGrowthClass(beta, deg, beta_period, None, not live),
+    )
+
+
 def analysis_report(sys: MorphicSystem) -> dict:
     """JSON-ready analysis payload for one morphic system."""
     m = sys.morphism

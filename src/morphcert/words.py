@@ -411,4 +411,8 @@ def parse_morphism_spec(text: str) -> MorphicSystem:
 
 def parse_morphism_file(path) -> MorphicSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_morphism_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_morphism_spec(text)

@@ -188,22 +188,20 @@ def _pp(res):
 
 
 class TestSelectModel:
-    CFG = CertifyConfig()
-
     def test_margin_both_ways(self):
-        assert select_model(_dp(0.1), _pp(0.5), self.CFG) == "logdamped"
-        assert select_model(_dp(0.5), _pp(0.1), self.CFG) == "polyexp"
-        assert select_model(_dp(0.30), _pp(0.31), self.CFG) is None
+        assert select_model(_dp(0.1), _pp(0.5)) == "logdamped"
+        assert select_model(_dp(0.5), _pp(0.1)) == "polyexp"
+        assert select_model(_dp(0.30), _pp(0.31)) is None
 
     def test_exact_fit_floor_trumps_ratio(self):
         # a machine-precision polyexp fit wins even against a tiny logdamped RMS
-        assert select_model(_dp(1e-12), _pp(1e-9), self.CFG) == "polyexp"
+        assert select_model(_dp(1e-12), _pp(1e-9)) == "polyexp"
         # above the floor the ratio rule takes over again
-        assert select_model(_dp(1e-12), _pp(1e-3), self.CFG) == "logdamped"
+        assert select_model(_dp(1e-12), _pp(1e-3)) == "logdamped"
 
     def test_missing_profiles(self):
-        assert select_model(None, _pp(0.1), self.CFG) is None
-        assert select_model(_dp(0.1), None, self.CFG) is None
+        assert select_model(None, _pp(0.1)) is None
+        assert select_model(_dp(0.1), None) is None
 
 
 class TestGeometricCheckpoints:
@@ -313,7 +311,7 @@ class TestGrowthClassesOnlyForVerdict:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for name in ("growth_class", "symbol_growth_class"):
+        for name in ("scc_dag", "_fit_constant"):
             real = getattr(spectral, name)
             monkeypatch.setattr(
                 spectral, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
@@ -331,14 +329,14 @@ class TestGrowthClassesOnlyForVerdict:
         report = certify_nonmorphic(f"morphic:{path}")
         assert 0.0 < report.logdamped.gamma < 0.1
         assert report.verdict.case_id == CASE_SUPER_UNIT_ALPHA
-        assert sorted(calls) == ["growth_class", "symbol_growth_class"]
+        assert calls == ["scc_dag"]
 
 
 def _masked_points(report, morphic):
-    """How many checkpoints the usable-point mask keeps: N >= min_fit_n,
+    """How many checkpoints the usable-point mask keeps: N >= MIN_FIT_N,
     count >= 1, and not level 0 of a morphic source."""
     return sum(
-        n >= report.config.min_fit_n and c >= 1 and (i > 0 or not morphic)
+        n >= certify.MIN_FIT_N and c >= 1 and (i > 0 or not morphic)
         for i, (n, c) in enumerate(report.checkpoints)
     )
 
@@ -354,26 +352,30 @@ def _assert_fit_points_as_masked(report, morphic):
 class TestUsableSuffix:
     @pytest.mark.parametrize("max_n", [4095, 4096, 4097])
     @pytest.mark.parametrize("min_fit_n", [4088, 4089, 4090, 4096])
-    def test_column_around_max_n(self, max_n, min_fit_n):
+    def test_column_around_max_n(self, max_n, min_fit_n, monkeypatch):
         # N_k = k + 1: a checkpoint at every N up to max_n
+        monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
         src = f"morphic:{MORPHISM_DIR / 'column.morph'}"
-        report = certify_nonmorphic(src, CertifyConfig(max_n=max_n, min_fit_n=min_fit_n))
+        report = certify_nonmorphic(src, CertifyConfig(max_n=max_n))
         assert report.checkpoints[-1][0] == max_n
         _assert_fit_points_as_masked(report, True)
 
     @pytest.mark.parametrize("max_n", [4095, 4096, 4097])
     @pytest.mark.parametrize("min_fit_n", [4080, 4087, 4096])
-    def test_sieve_around_max_n(self, max_n, min_fit_n):
+    def test_sieve_around_max_n(self, max_n, min_fit_n, monkeypatch):
         # steps of one or two between checkpoints
-        config = CertifyConfig(max_n=max_n, n0=4060, ratio=1.0003, min_fit_n=min_fit_n)
-        _assert_fit_points_as_masked(certify_nonmorphic("s2", config), False)
+        monkeypatch.setattr(certify, "N0", 4060)
+        monkeypatch.setattr(certify, "RATIO", 1.0003)
+        monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
+        report = certify_nonmorphic("s2", CertifyConfig(max_n=max_n))
+        _assert_fit_points_as_masked(report, False)
 
     @pytest.mark.parametrize("min_fit_n", [1, 2, 4, 5, 8])
-    def test_symbol_with_leading_zero_counts(self, min_fit_n):
+    def test_symbol_with_leading_zero_counts(self, min_fit_n, monkeypatch):
         # c first occurs in phi^2(a) = abbc, so the counts start 0, 0, 1
+        monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
         src = f"morphic:{MORPHISM_DIR / 'chain.morph'}"
-        report = certify_nonmorphic(src, CertifyConfig(max_n=2**12, symbol="c",
-                                                       min_fit_n=min_fit_n))
+        report = certify_nonmorphic(src, CertifyConfig(max_n=2**12, symbol="c"))
         assert [c for _, c in report.checkpoints[:3]] == [0, 0, 1]
         _assert_fit_points_as_masked(report, True)
 

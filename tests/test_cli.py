@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from morphcert import words
 from morphcert.cli import main
 from morphcert.numtheory import sieve_s2_additive, sieve_s2_nonzero
 
@@ -79,6 +80,16 @@ class TestSeqGen:
             "--format", "bits",
         )
         assert code == 2
+        assert "0 and 1" in err
+
+    def test_bits_coding_checked_before_streaming(self, capsys, monkeypatch):
+        streamed = []
+        monkeypatch.setattr(words, "fixed_point_stream", lambda *a: streamed.append(a))
+        code, _, err = run(
+            capsys, "seq", "gen", "--kind", f"morphic:{COLUMN}", "-N", "20000000",
+            "--format", "bits",
+        )
+        assert (code, streamed) == (2, [])
         assert "0 and 1" in err
 
     def test_threads_flag_is_inert(self, capsys):
@@ -308,6 +319,29 @@ class TestExitCodes:
         erasing.write_text("letters: a b\nstart: a\na -> a b\nb ->\n")
         assert run(capsys, "morphism", "analyze", str(erasing))[0] == 2
         assert run(capsys, "morphism", "analyze", str(tmp_path / "nope.morph"))[0] == 2
+
+    def test_malformed_files_exit_2(self, capsys, tmp_path):
+        # bytes that are not UTF-8, and CSV fields that str.isdigit passes
+        # but int() does not read, the last one past its digit limit
+        latin = tmp_path / "latin1.morph"
+        latin.write_bytes(b"letters: a b\nstart: a\na -> a b\nb -> a\n# caf\xe9\n")
+        latin_csv = tmp_path / "latin1.csv"
+        latin_csv.write_bytes(b"N,B\n1024,caf\xe9\n")
+        cases = [
+            ["morphism", "analyze", str(latin)],
+            ["certify", "--source", f"morphic:{latin}"],
+            ["seq", "gen", "--kind", f"morphic:{latin}", "-N", "8"],
+            ["fit", "--model", "logdamped", "--input", str(latin_csv)],
+        ]
+        for i, field in enumerate(("--5", "\u00b2", "1\u00b2", "7" * 5000)):
+            path = tmp_path / f"field{i}.csv"
+            path.write_text(f"N,B\n1024,800\n{field},3\n", encoding="utf-8")
+            cases.append(["fit", "--model", "polyexp", "--input", str(path)])
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "Traceback" not in err
 
     def test_unknown_symbol_exit_2(self, capsys):
         # a sieve source has no symbols, so any --symbol is unknown there
