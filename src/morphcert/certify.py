@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -135,7 +133,7 @@ class CertificateReport:
 
 
 class _FitPoints:
-    """Fit points held as two columns: first coordinates and counts.
+    """Fit points held as two numpy columns: first coordinates and counts.
 
     Iterating yields (first, count) pairs, as any other points do. The
     logdamped columns x = ln ln N and y = ln(N/count) are computed on first
@@ -143,7 +141,7 @@ class _FitPoints:
     pay for them once.
     """
 
-    def __init__(self, first: Sequence, counts: Sequence):
+    def __init__(self, first: np.ndarray, counts: np.ndarray):
         self.first = first
         self.counts = counts
 
@@ -152,7 +150,9 @@ class _FitPoints:
         if isinstance(points, cls):
             return points
         pairs = list(points)
-        return cls([a for a, _ in pairs], [c for _, c in pairs])
+        # object columns keep the caller's numbers exactly as given
+        return cls(np.array([a for a, _ in pairs], dtype=object),
+                   np.array([c for _, c in pairs], dtype=object))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -165,22 +165,21 @@ class _FitPoints:
         # math.log of each int, and int true division: np.log and float
         # division differ from them in the last bit on some inputs
         n = len(self)
-        x = np.fromiter(map(math.log, map(math.log, self.first)), float, n)
-        y = np.fromiter(map(math.log, map(operator.truediv, self.first, self.counts)), float, n)
+        first, counts = self.first.tolist(), self.counts.tolist()
+        x = np.fromiter(map(math.log, map(math.log, first)), float, n)
+        y = np.fromiter(map(math.log, map(operator.truediv, first, counts)), float, n)
         return x, y
 
 
 def _fit_points(points: _FitPoints, min_x: float, what: str):
     if len(points) < MIN_FIT_POINTS:
         raise DomainError(f"{what} needs >= {MIN_FIT_POINTS} points, got {len(points)}")
-    if any(map(operator.lt, points.first, repeat(min_x))) or any(
-        map(operator.lt, points.counts, repeat(1))
-    ):
-        for x, c in points:  # name the first bad point
-            if x < min_x:
-                raise DomainError(f"{what} needs all first coordinates >= {min_x}")
-            if c < 1:
-                raise DomainError(f"{what} needs all counts >= 1")
+    bad_x = points.first < min_x
+    bad = bad_x | (points.counts < 1)
+    if bad.any():  # name the first bad point
+        if bad_x[bad.argmax()]:
+            raise DomainError(f"{what} needs all first coordinates >= {min_x}")
+        raise DomainError(f"{what} needs all counts >= 1")
 
 
 def fit_logdamped(points: Sequence[tuple[float, float]]) -> DensityProfile:
@@ -205,10 +204,10 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     points = _FitPoints.of(points)
     _fit_points(points, 1.0, "polyexp fit")
     ks = points.first
-    if any(map(operator.le, islice(ks, 1, None), ks)):
+    if (ks[1:] <= ks[:-1]).any():
         raise DomainError("polyexp fit needs strictly increasing k")
-    k = np.array(ks, dtype=float)
-    y = np.fromiter(map(math.log, points.counts), float, len(points))
+    k = ks.astype(float)
+    y = np.fromiter(map(math.log, points.counts.tolist()), float, len(points))
     design = np.column_stack([np.ones_like(k), np.log(k), k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
@@ -371,7 +370,7 @@ def _sieve_counts(key: str, config: CertifyConfig):
     table = sieve_table(key, config.max_n, config.mem_budget)
     cps = geometric_checkpoints(N0, RATIO, config.max_n)
     entries = numtheory.count_series(table, cps).entries
-    return [n for n, _ in entries], [c for _, c in entries]
+    return np.array(cps, dtype=np.int64), np.array([c for _, c in entries], dtype=np.int64)
 
 
 # The float shadow errs by far less than a third, so a shadow below _WIDE means
@@ -382,7 +381,7 @@ _WIDE = 1.5 * _INT64_SAFE
 
 def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
     """N_k = |phi^k(b)| and the count of the target letters in phi^k(b), as two
-    lists over every level k with N_k <= max_n.
+    arrays over every level k with N_k <= max_n.
 
     Levels are built in doubling blocks: if the columns of V are the count
     vectors of levels 0..K-1 and P = M^K, the columns of P V are those of
@@ -416,7 +415,7 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
         last = block[:, -1].sum()
     n = v.sum(axis=0)
     cut = int(np.searchsorted(n, max_n, side="right"))
-    return n[:cut].tolist(), v[list(targets), :cut].sum(axis=0).tolist()
+    return n[:cut], v[list(targets), :cut].sum(axis=0)
 
 
 def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
@@ -433,7 +432,7 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     else:
         ns, counts = _sieve_counts(key, config)
         sequence_id = key
-    checkpoints = tuple(zip(ns, counts))
+    checkpoints = tuple(zip(ns.tolist(), counts.tolist()))
 
     # checkpoint index k: morphic sources carry the true iteration number
     # (Cor.-style counts live along it); sieve checkpoints have no intrinsic
@@ -443,13 +442,13 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     # N rises strictly along the checkpoints and the counts never fall (each
     # counts a prefix of the next), so the usable points (N >= MIN_FIT_N,
     # count >= 1, not level 0 of a morphic source) are a suffix
-    start = max(bisect_left(ns, MIN_FIT_N), bisect_left(counts, 1), int(morphic))
+    start = max(int(np.searchsorted(ns, MIN_FIT_N)), int(np.searchsorted(counts, 1)), int(morphic))
     fit_counts = counts[start:]
     ld_points = _FitPoints(ns[start:], fit_counts)
     if morphic:
-        pe_points = _FitPoints(range(start, len(ns)), fit_counts)
+        pe_points = _FitPoints(np.arange(start, len(ns)), fit_counts)
     else:
-        pe_points = _FitPoints(range(1, len(fit_counts) + 1), fit_counts)
+        pe_points = _FitPoints(np.arange(1, len(fit_counts) + 1), fit_counts)
 
     logdamped = fit_logdamped(ld_points) if len(ld_points) >= MIN_FIT_POINTS else None
     polyexp = fit_polyexp(pe_points) if len(pe_points) >= MIN_FIT_POINTS else None

@@ -177,8 +177,11 @@ def _read_counts_csv(path: Path) -> list[tuple[int, int]]:
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if lineno == 1 and any(not f.lstrip("-").isdigit() for f in fields):
-            continue  # header row
+        if lineno == 1:
+            try:
+                float(fields[0])
+            except ValueError:
+                continue  # header row; a numeric first field, even "1e3", is data
         if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
             raise ParseError(f"{path}:{lineno}: expected 'N,count', got {line!r}")
         try:

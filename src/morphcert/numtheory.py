@@ -1,8 +1,8 @@
 """Sum-of-two-squares sieves, counting functions, Landau-Ramanujan estimators.
 
-Two permanently independent s2 implementations (additive marking vs the
-smallest-prime-factor route) act as mutual oracles; tables are numpy uint8
-byte maps over 0..N.
+Two permanently independent s2 implementations (additive marking vs Fermat's
+multiplicative criterion on prime valuations) act as mutual oracles; tables
+are numpy uint8 byte maps over 0..N.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ def _spf_charge(N: int) -> int:
 
 
 def _multiplicative_charge(N: int) -> int:
-    # the spf sieve, then its table beside the int32 index of n = 3 (mod 4),
-    # that index's mask and the int32 primes p = 3 (mod 4)
-    pick = 5 * (N + 1) + (N + 1) // 4 + 1 + 4 * _pi_bound(N) + _OVERHEAD
-    return max(_spf_charge(N), pick)
+    # the int8 accumulator, which becomes the byte map in place, the int64
+    # primes p = 3 (mod 4) up to sqrt(N), and the final pass's int64 n and
+    # lowest-bit blocks, beside the previous block's pair while rebuilt
+    return N + 1 + 8 * _pi_bound(math.isqrt(N)) + 24 * min(_BLOCK, N + 1) + _OVERHEAD
 
 
 def _euler_charge(P: int) -> int:
@@ -174,31 +174,32 @@ def factorize(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
 def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
     """bit(n) = 1 iff every prime p = 3 (mod 4) divides n to an even power.
 
-    Valuation parities are accumulated vectorially: for each such prime p and
-    exponent e, multiples of p^e gain +1 (e odd) or -1 (e even); the running
-    sum is v_p(n) mod 2 summed over primes, so members are exactly the zeros.
+    For the primes p = 3 (mod 4) up to sqrt(N), multiples of p^e gain +1 (e
+    odd) or -1 (e even), so the sum is zero iff each divides n to an even power.
+    At most one prime above sqrt(N) divides n, and only once; the odd part of n
+    is (-1)^(sum of v_p(n) over all p = 3 (mod 4)) mod 4, so members are the
+    zeros of the sum whose odd part is 1 (mod 4).
     """
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_multiplicative_charge(N), mem_budget, "multiplicative s2 sieve")
-    if N < 3:
-        # 0, 1, 2 are all sums of two squares; no prime = 3 (mod 4) yet
-        return SieveTable(N, np.ones(N + 1, dtype=np.uint8), KIND_S2_MULTIPLICATIVE)
-    spf = spf_sieve(N, mem_budget=mem_budget)
-    # the primes p = 3 (mod 4) are the n = 3 (mod 4) with spf[n] = n
-    idx = np.arange(3, N + 1, 4, dtype=np.int32)
-    p3 = idx[spf[3::4] == idx]
-    del spf, idx
+    p3 = np.flatnonzero(_prime_mask(math.isqrt(N))[3::4]) * 4 + 3
     acc = np.zeros(N + 1, dtype=np.int8)  # sum of v_p(n) mod 2; < log2(N) so no overflow
-    for p in map(int, p3):
-        pe = p
-        sign = 1
+    for p in p3.tolist():
+        pe, sign = p, 1
         while pe <= N:
             acc[pe::pe] += sign
-            sign = -sign
-            pe *= p
-    bits = (acc == 0).view(np.uint8)
-    return SieveTable(N, bits, KIND_S2_MULTIPLICATIVE)
+            pe, sign = pe * p, -sign
+    # one pass turns acc into the byte map in place; n = 0 stays a member
+    for lo in range(0, N + 1, _BLOCK):
+        blk = acc[lo:lo + _BLOCK]
+        n = np.arange(lo, lo + blk.size, dtype=np.int64)
+        low = np.negative(n)
+        low &= n  # the lowest set bit of n
+        low <<= 1
+        low &= n  # the next bit up: set iff the odd part of n is 3 (mod 4)
+        np.logical_and(blk == 0, low == 0, out=blk.view(np.bool_))
+    return SieveTable(N, acc.view(np.uint8), KIND_S2_MULTIPLICATIVE)
 
 
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
@@ -298,13 +299,10 @@ def multiplicativity_check(table: SieveTable, bound: int) -> tuple[int, int] | N
         raise DomainError("bound must be >= 1")
     if bound * bound > table.limit:
         raise DomainError("bound^2 exceeds the table limit")
-    bits = table.bits[:bound * bound + 1].tobytes()
-    gcd = math.gcd
     for p in range(1, bound + 1):
-        bp = bits[p]
-        for q in range(p, bound + 1):
-            if gcd(p, q) != 1:
-                continue
-            if (bp & bits[q]) != bits[p * q]:
-                return (p, q)
+        q = np.arange(p, bound + 1, dtype=np.int64)
+        bad = (table.bits[p] & table.bits[q]) != table.bits[p * q]
+        bad &= np.gcd(q, p) == 1
+        if bad.any():
+            return (p, int(q[bad.argmax()]))
     return None

@@ -428,7 +428,7 @@ def _walk_counts(rows, start, targets, max_n):
 def _assert_level_counts(sys, symbol, max_n):
     rows = count_matrix(sys.morphism)
     targets = sys.letters_for(symbol)
-    got = certify._level_counts(rows, sys.start, targets, max_n)
+    got = tuple(col.tolist() for col in certify._level_counts(rows, sys.start, targets, max_n))
     assert got == _walk_counts(rows, sys.start, targets, max_n)
     assert all(type(x) is int for col in got for x in col)
 

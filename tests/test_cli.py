@@ -225,6 +225,22 @@ class TestFit:
         assert code == 2
         assert "expected" in err
 
+    def test_numeric_first_line_is_data(self, capsys, tmp_path):
+        # a header is a first line whose first field is not a number; any
+        # other first line is data, and "1e3" is not a count the fit reads
+        rows = "".join(f"{2**j},{2**j // 3}\n" for j in range(12, 22))
+        path = tmp_path / "counts.csv"
+        for head in ("1e3,5", "1024,B", "-1.5,2"):
+            path.write_text(f"{head}\n{rows}")
+            code, out, err = run(capsys, "fit", "--model", "logdamped", "--input", str(path))
+            assert (code, out) == (2, ""), head
+            assert err == f"error: {path}:1: expected 'N,count', got {head!r}\n"
+        for head in ("N,B", "n, count", "N", ",B"):
+            path.write_text(f"{head}\n{rows}")
+            code, out, _ = run(capsys, "fit", "--model", "logdamped", "--input", str(path))
+            assert code == 0, head
+            assert json.loads(out)["n_points"] == 10
+
     def test_missing_csv(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "fit", "--model", "logdamped", "--input", str(tmp_path / "nope.csv")

@@ -94,6 +94,43 @@ class TestSieves:
                 build(10**7, mem_budget=1024)
 
 
+def spf_route_s2(N):
+    """The smallest-prime-factor route that the sqrt(N) sieve replaced: the oracle."""
+    if N < 3:
+        return np.ones(N + 1, dtype=np.uint8)
+    spf = spf_sieve(N)
+    idx = np.arange(3, N + 1, 4, dtype=np.int32)
+    p3 = idx[spf[3::4] == idx]
+    acc = np.zeros(N + 1, dtype=np.int8)
+    for p in map(int, p3):
+        pe = p
+        sign = 1
+        while pe <= N:
+            acc[pe::pe] += sign
+            sign = -sign
+            pe *= p
+    return (acc == 0).view(np.uint8)
+
+
+# 0..399; p^2 - 1, p^2, p^2 + 1 for the primes p = 3 (mod 4) up to 83, whose
+# squares are where a prime first needs its second power; and larger sizes
+# across block edges
+_P3 = [p for p in range(3, 84, 4) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_ORACLE_SIZES = (
+    list(range(400))
+    + [p * p + d for p in _P3 for d in (-1, 0, 1)]
+    + [10**5, 2**20, 10**6 + 1, 9_975_792]
+)
+
+
+def test_multiplicative_matches_spf_route():
+    assert len(_P3) == 13 and len(_ORACLE_SIZES) == 443
+    for N in _ORACLE_SIZES:
+        bits = sieve_s2_multiplicative(N).bits
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, spf_route_s2(N)), N
+
+
 class TestSpf:
     def test_table(self):
         spf = spf_sieve(30)
@@ -251,6 +288,16 @@ class TestDiffBound:
         assert got[0] is not None and got[0] >= 2 * _BLOCK
 
 
+def double_loop_check(table, bound):
+    """The pair-by-pair loop that the per-p vector check replaced: the oracle."""
+    bits = table.bits[:bound * bound + 1].tobytes()
+    for p in range(1, bound + 1):
+        for q in range(p, bound + 1):
+            if math.gcd(p, q) == 1 and (bits[p] & bits[q]) != bits[p * q]:
+                return (p, q)
+    return None
+
+
 class TestMultiplicativity:
     def test_clean_table_has_no_counterexample(self):
         table = sieve_s2_additive(10**4)
@@ -265,6 +312,22 @@ class TestMultiplicativity:
         p, q = hit
         assert math.gcd(p, q) == 1
         assert bad.bit(p) & bad.bit(q) != bad.bit(p * q)
+
+    def test_matches_double_loop_on_corrupted_tables(self):
+        rng = np.random.default_rng(9)
+        clean = sieve_s2_additive(60 * 60)
+        for trial in range(300):
+            bound = int(rng.integers(1, 61))
+            bits = clean.bits.copy()
+            if trial % 3 == 0:
+                # the only bad entry sits at some p q, so no smaller pair sees it
+                p, q = (int(v) for v in rng.integers(1, bound + 1, 2))
+                bits[p * q] ^= 1
+            else:
+                flips = rng.integers(0, bound * bound + 1, int(rng.integers(1, 4)))
+                bits[flips] ^= 1
+            table = SieveTable(clean.limit, bits, "corrupted")
+            assert multiplicativity_check(table, bound) == double_loop_check(table, bound), trial
 
     def test_rejects(self):
         table = sieve_s2_additive(100)
