@@ -41,6 +41,8 @@ from .numtheory import (
     CountSeries,
     LrEstimate,
     SieveTable,
+    count_s2_additive,
+    count_s2_nonzero,
     count_series,
     diff_bound_check,
     factorize,

@@ -307,19 +307,34 @@ def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
         raise DomainError("n0 must be >= 1")
     if not ratio > 1.0:  # also rejects NaN
         raise DomainError("ratio must be > 1")
-    out: list[int] = []
-    j = 0
-    while True:
+
+    def at(j: int) -> float:  # a value past the float range reads as inf
         try:
-            v = int(n0 * ratio**j)
+            return int(n0 * ratio**j)
         except OverflowError:
-            raise DomainError("checkpoint schedule leaves the float range") from None
+            return math.inf
+
+    out: list[int] = []
+    j, v = 0, at(0)
+    while True:
+        if v == math.inf:
+            raise DomainError("checkpoint schedule leaves the float range")
         if v > max_n:
-            break
-        if not out or v != out[-1]:
-            out.append(v)
-        j += 1
-    return out
+            return out
+        out.append(v)
+        # the values never fall as j grows: step to the first larger one, w,
+        # by doubling past it, then bisecting
+        lo, hi = j, j + 1
+        while (w := at(hi)) <= v:
+            lo, hi = hi, 2 * hi - j
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            u = at(mid)
+            if u <= v:
+                lo = mid
+            else:
+                hi, w = mid, u
+        j, v = hi, w
 
 
 _NOTES = {
@@ -364,12 +379,18 @@ def sieve_table(key: str, limit: int, mem_budget: int) -> numtheory.SieveTable:
     return build(limit, mem_budget=mem_budget)
 
 
+def sieve_counts(key: str, limit: int, checkpoints: Sequence[int],
+                 mem_budget: int) -> numtheory.CountSeries:
+    """Counts of a resolved sieve key at checkpoints in 0..limit, without the table."""
+    count = numtheory.count_s2_additive if key == "s2" else numtheory.count_s2_nonzero
+    return count(limit, checkpoints, mem_budget=mem_budget)
+
+
 def _sieve_counts(key: str, config: CertifyConfig):
     if config.symbol is not None:
         raise DomainError(f"a symbol applies only to morphic sources, not to {key!r}")
-    table = sieve_table(key, config.max_n, config.mem_budget)
     cps = geometric_checkpoints(N0, RATIO, config.max_n)
-    entries = numtheory.count_series(table, cps).entries
+    entries = sieve_counts(key, config.max_n, cps, config.mem_budget).entries
     return np.array(cps, dtype=np.int64), np.array([c for _, c in entries], dtype=np.int64)
 
 

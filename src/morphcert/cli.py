@@ -155,8 +155,7 @@ def cmd_seq_count(args) -> int:
     if key is not None:
         if args.symbol is not None:
             raise DomainError("--symbol applies only to morphic kinds")
-        table = certify.sieve_table(key, max_n, budget)
-        entries = numtheory.count_series(table, cps).entries
+        entries = certify.sieve_counts(key, max_n, cps, budget).entries
     else:
         system = words.parse_morphism_file(path)
         symbol = args.symbol if args.symbol is not None else system.coding[system.start]
@@ -249,8 +248,7 @@ def cmd_lr_constant(args) -> int:
             "tail_bound": est.tail_bound,
         }
     else:
-        table = numtheory.sieve_s2_additive(args.bound, mem_budget=budget)
-        series = numtheory.count_series(table, [args.bound])
+        series = numtheory.count_s2_additive(args.bound, [args.bound], mem_budget=budget)
         est = numtheory.lr_estimate_sieve(series)[0]
         payload = {
             "method": est.method,

@@ -1,8 +1,10 @@
 """Sum-of-two-squares sieves, counting functions, Landau-Ramanujan estimators.
 
-Two permanently independent s2 implementations (additive marking vs Fermat's
-multiplicative criterion on prime valuations) act as mutual oracles; tables
-are numpy uint8 byte maps over 0..N.
+Two permanently independent s2 implementations act as mutual oracles: additive
+marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and Fermat's
+multiplicative criterion on prime valuations. Tables are numpy uint8 byte maps
+over 0..N; the count_s2_* functions read the additive segments directly and
+never hold the N-byte map.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ DEFAULT_MEM_BYTES = 256 * 2**20
 # are O(_BLOCK) whatever N is. A multiple of 8, so packed bit output of whole
 # blocks concatenates to the packing of the whole table.
 _BLOCK = 1 << 16
+# The additive sieve marks [0, N] in segments of this length: long enough that
+# the per-row bounds are paid for by many points, short enough to stay in L2.
+_SEG = 4 * _BLOCK
 # Charged once per call on top of the arrays: object headers, and the small
 # objects a caller holds meanwhile (a checkpoint list, one output block).
 _OVERHEAD = 1 << 18
@@ -46,9 +51,24 @@ def _pi_bound(x: int) -> int:
     return math.ceil(x / L * (1 + 1.2762 / L))
 
 
+def _segment_bytes(N: int) -> int:
+    # one segment; per row x <= sqrt(N/2), its int64 x^2 and next y, kept
+    # across segments, and 40 B of y-range arithmetic; two int64 arrays per
+    # marked point, of which a segment of length L holds at most pi/8 (L - 1)
+    # (an eighth of an annulus) plus the longest row plus one per row
+    L = min(_SEG, N + 1)
+    rows = math.isqrt(N // 2) + 1
+    points = L // 2 + math.isqrt(L) + 1 + rows
+    return L + 56 * rows + 16 * points
+
+
 def _s2_charge(N: int) -> int:
-    # the byte map and one row of int64 marking indices
-    return N + 1 + 8 * (math.isqrt(N) + 1) + _OVERHEAD
+    # the byte map, copied from the segments
+    return N + 1 + _segment_bytes(N) + _OVERHEAD
+
+
+def _s2_count_charge(N: int) -> int:
+    return _segment_bytes(N) + _OVERHEAD
 
 
 def _spf_charge(N: int) -> int:
@@ -71,10 +91,9 @@ def _euler_charge(P: int) -> int:
 
 
 def _diff_charge(N: int) -> int:
-    # both byte maps, plus the larger of the second sieve's row and one block
-    # of int64/float64 running differences, n, roots and their temporaries
-    row = 8 * (math.isqrt(N) + 1)
-    return 2 * (N + 1) + max(row, 48 * min(_BLOCK, N + 1)) + _OVERHEAD
+    # both byte maps, plus the larger of the second sieve's segments and one
+    # block of int64/float64 running differences, n, roots and their temporaries
+    return 2 * (N + 1) + max(_segment_bytes(N), 48 * min(_BLOCK, N + 1)) + _OVERHEAD
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,20 +128,62 @@ class LrEstimate:
     tail_bound: float | None = None
 
 
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of an int64 array, exactly, for 0 <= v < 2^62."""
+    # the float root is off by at most one there, and (r + 1)^2 fits in int64;
+    # with a correctly rounded sqrt only the downward repair ever fires
+    r = np.sqrt(v, dtype=np.float64).astype(np.int64)
+    s = r + 1
+    s *= s
+    r += s <= v
+    np.multiply(r, r, out=s)
+    r -= s > v
+    return r
+
+
+def _s2_segments(N: int, x0: int):
+    """Yield (lo, seg) over [0, N] in segments of length _SEG, where seg[i] = 1
+    iff lo + i = x^2 + y^2 for some x0 <= x <= y.
+
+    seg is a view of one reused buffer, valid until the next segment is asked for.
+    """
+    # row x marks y in [max(x, ceil sqrt(lo - x^2)), floor sqrt(hi - 1 - x^2)],
+    # and the lower end is one past the upper end of the previous segment, so
+    # each row carries its next y from segment to segment
+    y_next = np.arange(x0, math.isqrt(N // 2) + 1, dtype=np.int64)
+    xx = y_next * y_next
+    buf = np.empty(min(_SEG, N + 1), dtype=np.uint8)
+    for lo in range(0, N + 1, _SEG):
+        hi = min(lo + _SEG, N + 1)
+        seg = buf[:hi - lo]
+        seg.fill(0)
+        k = max(math.isqrt((hi - 1) // 2) + 1 - x0, 0)  # the rows with 2 x^2 < hi
+        sq = xx[:k]
+        top = _isqrt(hi - 1 - sq)
+        top += 1
+        cnt = top - y_next[:k]
+        ends = np.cumsum(cnt)
+        # every row's points in one pass: y runs over consecutive integers
+        # from y_next within each row, and n - lo = y^2 + x^2 - lo
+        off = y_next[:k] - ends
+        off += cnt
+        y_next[:k] = top
+        y = np.arange(int(ends[-1]) if k else 0, dtype=np.int64)
+        y += np.repeat(off, cnt)
+        y *= y
+        y += np.repeat(sq - lo, cnt)
+        seg[y] = 1
+        yield lo, seg
+
+
 def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:
     """bit(n) = 1 iff n = x^2 + y^2 for some x0 <= x <= y, by additive marking."""
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_s2_charge(N), mem_budget, f"{kind} sieve")
-    bits = np.zeros(N + 1, dtype=np.uint8)
-    x = x0
-    while 2 * x * x <= N:
-        ymax = math.isqrt(N - x * x)
-        idx = np.arange(x, ymax + 1, dtype=np.int64)
-        idx *= idx
-        idx += x * x
-        bits[idx] = 1
-        x += 1
+    bits = np.empty(N + 1, dtype=np.uint8)
+    for lo, seg in _s2_segments(N, x0):
+        bits[lo:lo + seg.size] = seg
     return SieveTable(N, bits, kind)
 
 
@@ -202,18 +263,51 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     return SieveTable(N, acc.view(np.uint8), KIND_S2_MULTIPLICATIVE)
 
 
+def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
+    """Member counts at the checkpoints from the byte map of [0, limit], given
+    as consecutive (lo, segment) pairs; stops reading after the largest one."""
+    for N in checkpoints:
+        if not 0 <= N <= limit:
+            raise DomainError(f"checkpoint {N} outside table range 0..{limit}")
+    todo = sorted({int(N) for N in checkpoints}, reverse=True)
+    counts: dict[int, int] = {}
+    total = 0
+    for lo, seg in segments:
+        if not todo:
+            break
+        start = 0
+        while todo and todo[-1] < lo + seg.size:
+            end = todo[-1] + 1 - lo
+            total += int(np.count_nonzero(seg[start:end]))
+            counts[todo.pop()] = total
+            start = end
+        total += int(np.count_nonzero(seg[start:]))
+    return CountSeries(tuple((int(N), counts[int(N)]) for N in checkpoints))
+
+
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
     """Exact member counts of [0, N] at each checkpoint N, in the given order."""
-    for N in checkpoints:
-        if not 0 <= N <= table.limit:
-            raise DomainError(f"checkpoint {N} outside table range 0..{table.limit}")
-    counts: dict[int, int] = {}
-    total = start = 0
-    for N in sorted({int(N) for N in checkpoints}):
-        total += int(np.count_nonzero(table.bits[start:N + 1]))
-        counts[N] = total
-        start = N + 1
-    return CountSeries(tuple((int(N), counts[int(N)]) for N in checkpoints))
+    return _count_segments([(0, table.bits)], table.limit, checkpoints)
+
+
+def _count_s2(N: int, x0: int, checkpoints: Sequence[int], kind: str,
+              mem_budget: int) -> CountSeries:
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    _check_budget(_s2_count_charge(N), mem_budget, f"{kind} counts")
+    return _count_segments(_s2_segments(N, x0), N, checkpoints)
+
+
+def count_s2_additive(N: int, checkpoints: Sequence[int], *,
+                      mem_budget: int = DEFAULT_MEM_BYTES) -> CountSeries:
+    """count_series(sieve_s2_additive(N), checkpoints), one segment at a time."""
+    return _count_s2(N, 0, checkpoints, KIND_S2_ADDITIVE, mem_budget)
+
+
+def count_s2_nonzero(N: int, checkpoints: Sequence[int], *,
+                     mem_budget: int = DEFAULT_MEM_BYTES) -> CountSeries:
+    """count_series(sieve_s2_nonzero(N), checkpoints), one segment at a time."""
+    return _count_s2(N, 1, checkpoints, KIND_S2_NONZERO, mem_budget)
 
 
 def lr_estimate_sieve(series: CountSeries) -> list[LrEstimate]:
@@ -280,11 +374,7 @@ def diff_bound_check(
         diff += carry
         carry = int(diff[-1])
         np.abs(diff, out=diff)
-        n = np.arange(lo, hi, dtype=np.int64)
-        root = np.sqrt(n.astype(np.float64)).astype(np.int64)
-        # repair float sqrt at the edges so root = floor(sqrt(n)) exactly
-        root += (root + 1) * (root + 1) <= n
-        root -= root * root > n
+        root = _isqrt(np.arange(lo, hi, dtype=np.int64))
         if first is None:
             bad = np.flatnonzero(diff > root + 1)
             if bad.size:

@@ -44,8 +44,14 @@ CASES = {
         _budgeted(numtheory.sieve_s2_multiplicative), numtheory._multiplicative_charge, 10**6),
     "lr_euler_product": (_budgeted(numtheory.lr_euler_product), numtheory._euler_charge, 10**6),
     "diff_bound_check": (_budgeted(numtheory.diff_bound_check), numtheory._diff_charge, 10**6),
-    "certify s2": (_certify("s2"), numtheory._s2_charge, 2 * 10**6),
-    "certify s2nz": (_certify("s2nz"), numtheory._s2_charge, 2 * 10**6),
+    "count_s2_additive": (
+        lambda n, budget: numtheory.count_s2_additive(n, [n], mem_budget=budget),
+        numtheory._s2_count_charge, 2 * 10**6),
+    "count_s2_nonzero": (
+        lambda n, budget: numtheory.count_s2_nonzero(n, [n], mem_budget=budget),
+        numtheory._s2_count_charge, 2 * 10**6),
+    "certify s2": (_certify("s2"), numtheory._s2_count_charge, 2 * 10**6),
+    "certify s2nz": (_certify("s2nz"), numtheory._s2_count_charge, 2 * 10**6),
 }
 
 
@@ -85,11 +91,11 @@ def devnull_stdout(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, charge", [
-    ("certify --source s2 -N {N}", numtheory._s2_charge),
+    ("certify --source s2 -N {N}", numtheory._s2_count_charge),
     ("seq gen --kind s2nz --format ascii -N {N}", numtheory._s2_charge),
     ("seq gen --kind s2 --format bits -N {N}", numtheory._s2_charge),
-    ("seq count --kind s2 --checkpoints geo:1024:2:{N}", numtheory._s2_charge),
-    ("lr-constant --method sieve --bound {N}", numtheory._s2_charge),
+    ("seq count --kind s2 --checkpoints geo:1024:2:{N}", numtheory._s2_count_charge),
+    ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])
 def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
@@ -108,3 +114,18 @@ def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
         tracemalloc.stop()
     assert code == 0
     assert peak <= mb * MIB
+
+
+def test_certify_counts_without_the_table(monkeypatch, tmp_path):
+    # a 24 MiB table cannot fit in 8 MiB; the streamed counts need no table
+    N = 24 * MIB
+    assert numtheory._s2_charge(N) > 8 * MIB >= numtheory._s2_count_charge(N)
+    monkeypatch.delenv("MORPH_MEM_MB", raising=False)
+    out = {}
+    for mb in (None, "8"):
+        if mb is not None:
+            monkeypatch.setenv("MORPH_MEM_MB", mb)
+        path = tmp_path / f"{mb}.json"
+        assert main(["certify", "--source", "s2", "-N", str(N), "-o", str(path)]) == 0
+        out[mb] = path.read_bytes()
+    assert out["8"] == out[None]

@@ -204,7 +204,54 @@ class TestSelectModel:
         assert select_model(_dp(0.1), None) is None
 
 
+def step_checkpoints(n0, ratio, max_n):
+    """The j-by-j loop that the bisecting search replaced: the oracle."""
+    out = []
+    j = 0
+    while True:
+        try:
+            v = int(n0 * ratio**j)
+        except OverflowError:
+            raise DomainError("checkpoint schedule leaves the float range") from None
+        if v > max_n:
+            return out
+        if not out or v != out[-1]:
+            out.append(v)
+        j += 1
+
+
 class TestGeometricCheckpoints:
+    @pytest.mark.parametrize("ratio", [
+        1 + 1e-7, 1 + 1e-6, 1 + 3e-5, 1.0003, 1.01, 1.05, 1.3, 2.0, 2.5, 3.0])
+    def test_matches_step_loop(self, ratio):
+        def fits(j):  # ratio**j stays a float
+            return j * math.log(ratio) < 600
+
+        for n0 in (1, 2, 7, 1000, 10**6, 10**7):
+            # ending on, just before and just past a value, where the step
+            # loop takes at most 5000 steps
+            tops = {int(n0 * ratio**j) for j in (0, 1, 2, 13, 400, 3000) if fits(j)}
+            cap = int(n0 * ratio**5000) if fits(5000) else math.inf
+            for top in sorted(tops):
+                for max_n in (top - 1, top, top + 1):
+                    if max_n >= cap:
+                        continue
+                    want = step_checkpoints(n0, ratio, max_n)
+                    assert geometric_checkpoints(n0, ratio, max_n) == want, (n0, max_n)
+
+    def test_overflow_where_the_step_loop_overflows(self):
+        for n0, ratio, max_n in ((1, 2.0, 10**400), (3, 1e300, 10**400), (10**309, 2.0, 10**400)):
+            with pytest.raises(DomainError, match="float range"):
+                step_checkpoints(n0, ratio, max_n)
+            with pytest.raises(DomainError, match="float range"):
+                geometric_checkpoints(n0, ratio, max_n)
+        # the step loop stops at a value past max_n before any overflow
+        assert geometric_checkpoints(3, 1e300, 10**300) == step_checkpoints(3, 1e300, 10**300)
+
+    def test_slow_ratio_is_fast(self):
+        # the step loop takes 46 million steps for these 100 values
+        assert geometric_checkpoints(1, 1.0000001, 100) == list(range(1, 101))
+
     def test_powers_of_two(self):
         cps = geometric_checkpoints(1024, 2.0, 2**20)
         assert cps == [2**j for j in range(10, 21)]

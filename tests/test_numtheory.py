@@ -8,8 +8,12 @@ from morphcert import numtheory
 from morphcert.errors import DomainError, ResourceError
 from morphcert.numtheory import (
     _BLOCK,
+    _SEG,
     CountSeries,
     SieveTable,
+    _isqrt,
+    count_s2_additive,
+    count_s2_nonzero,
     count_series,
     diff_bound_check,
     factorize,
@@ -92,6 +96,95 @@ class TestSieves:
         for build in (sieve_s2_additive, sieve_s2_nonzero, sieve_s2_multiplicative):
             with pytest.raises(ResourceError):
                 build(10**7, mem_budget=1024)
+
+
+def _reference_rows(N, x0):
+    """The row-by-row marking that the segmented sieve replaced: the oracle."""
+    bits = np.zeros(N + 1, dtype=np.uint8)
+    x = x0
+    while 2 * x * x <= N:
+        idx = np.arange(x, math.isqrt(N - x * x) + 1, dtype=np.int64)
+        idx *= idx
+        idx += x * x
+        bits[idx] = 1
+        x += 1
+    return bits
+
+
+# 0..64; one below, on and one past the first three segment edges; and edges
+# that are perfect squares, 4 _SEG = 1024^2 and 9 _SEG = 1536^2
+_SEGMENT_SIZES = (
+    list(range(65))
+    + [k * _SEG + d for k in (1, 2, 3, 4, 9) for d in (-1, 0, 1)]
+)
+
+
+@pytest.mark.parametrize("x0, build", [(0, sieve_s2_additive), (1, sieve_s2_nonzero)])
+def test_segments_match_row_reference(x0, build):
+    assert _SEG == 512 * 512  # the first edge is a perfect square too
+    for N in _SEGMENT_SIZES:
+        bits = build(N).bits
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, _reference_rows(N, x0)), N
+        if x0 == 0:
+            assert np.array_equal(bits, sieve_s2_multiplicative(N).bits), N
+
+
+@pytest.mark.parametrize("build, count", [
+    (sieve_s2_additive, count_s2_additive), (sieve_s2_nonzero, count_s2_nonzero)])
+def test_streamed_counts_match_table(build, count):
+    rng = np.random.default_rng(11)
+    edges = [k * _SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for N in (0, 1, 64, _SEG - 1, _SEG, 3 * _SEG + 1):
+        table = build(N)
+        inside = [n for n in edges if n <= N]
+        for cps in ([], [0], [N], [N // 3, 0],  # some stop well before N
+                    inside + [N, 0, N // 3, N, N // 3, 0] + inside):
+            cps = [int(n) for n in rng.permutation(cps)]
+            assert count(N, cps) == count_series(table, cps), (N, cps)
+
+
+def test_streamed_counts_reject_like_count_series():
+    table = sieve_s2_additive(100)
+    for cps in ([101], [-1], [5, 101, 7]):
+        with pytest.raises(DomainError) as want:
+            count_series(table, cps)
+        for count in (count_s2_additive, count_s2_nonzero):
+            with pytest.raises(DomainError) as got:
+                count(100, cps)
+            assert str(got.value) == str(want.value)
+    for count in (count_s2_additive, count_s2_nonzero):
+        with pytest.raises(DomainError):
+            count(-1, [])
+        with pytest.raises(ResourceError):
+            count(10**7, [10], mem_budget=1024)
+
+
+class TestIsqrt:
+    def test_squares_and_neighbours(self):
+        # k^2 - 1, k^2 and k^2 + 1 for every k <= 2^26, and for the top 2^16
+        # k below 2^31, where k^2 + 1 nears 2^62
+        assert _isqrt(np.array([0, 1, 2, 3])).tolist() == [0, 1, 1, 1]
+        top = 2**26 + 1
+        blocks = [np.arange(lo, min(lo + 2**20, top)) for lo in range(1, top, 2**20)]
+        blocks.append(np.arange(2**31 - 2**16, 2**31))
+        for k in blocks:
+            v = k * k
+            assert np.array_equal(_isqrt(v), k)
+            v += 1
+            assert np.array_equal(_isqrt(v), k)
+            v -= 2
+            assert np.array_equal(_isqrt(v), k - 1)
+        # the identities above are what math.isqrt says
+        for k in (1, 2, 3, 2**26, 2**31 - 1):
+            assert [math.isqrt(k * k + d) for d in (-1, 0, 1)] == [k - 1, k, k]
+
+    def test_random_below_2_62(self):
+        rng = np.random.default_rng(5)
+        uniform = rng.integers(0, 2**62, 10**5)
+        scaled = uniform >> rng.integers(0, 62, 10**5)  # every magnitude
+        for v in (uniform, scaled):
+            assert _isqrt(v).tolist() == [math.isqrt(n) for n in v.tolist()]
 
 
 def spf_route_s2(N):
