@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -77,8 +77,11 @@ class CertifyConfig:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """`checkpoints` holds the (N, count) pairs in two numpy columns; it compares,
+    hashes, indexes, slices and iterates like the tuple of int pairs it stands for."""
+
     sequence_id: str
-    checkpoints: tuple[tuple[int, int], ...]
+    checkpoints: Sequence[tuple[int, int]]
     logdamped: DensityProfile | None
     gamma_ci: tuple[float, float] | None
     polyexp: PolyExpProfile | None
@@ -132,13 +135,14 @@ class CertificateReport:
         }
 
 
-class _FitPoints:
-    """Fit points held as two numpy columns: first coordinates and counts.
+class _FitPoints(Sequence):
+    """(first, count) pairs held as two numpy columns, int64 or object.
 
-    Iterating yields (first, count) pairs, as any other points do. The
-    logdamped columns x = ln ln N and y = ln(N/count) are computed on first
-    use and then kept, so a fit and its gamma interval on the same points
-    pay for them once.
+    A report's checkpoints and the fit points are this type. It compares,
+    hashes, indexes and iterates like the tuple of int pairs it stands for,
+    without a Python object per pair. The logdamped columns x = ln ln N and
+    y = ln(N/count) are computed on first use and then kept, so a fit and its
+    gamma interval on the same points pay for them once.
     """
 
     def __init__(self, first: np.ndarray, counts: np.ndarray):
@@ -158,17 +162,36 @@ class _FitPoints:
         return len(self.counts)
 
     def __iter__(self):
-        return zip(self.first, self.counts)
+        return zip(_values(self.first), _values(self.counts))
+
+    def __getitem__(self, i):
+        first, count = np.asarray(self.first[i]).tolist(), np.asarray(self.counts[i]).tolist()
+        return tuple(zip(first, count)) if isinstance(i, slice) else (first, count)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _FitPoints) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
     @cached_property
     def logdamped_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        # math.log of each int, and int true division: np.log and float
-        # division differ from them in the last bit on some inputs
-        n = len(self)
-        first, counts = self.first.tolist(), self.counts.tolist()
-        x = np.fromiter(map(math.log, map(math.log, first)), float, n)
-        y = np.fromiter(map(math.log, map(operator.truediv, first, counts)), float, n)
+        # math.log (np.log differs in the last bit) of N/count as int division rounds
+        # it, which float64 division matches below 2^53, where both are exact doubles
+        n, first, counts = len(self), self.first, self.counts
+        if all(c.dtype == np.int64 and -2**53 < c.min() and c.max() < 2**53
+               for c in (first, counts)):
+            ratios = _values(first / counts)
+        else:
+            ratios = map(operator.truediv, _values(first), _values(counts))
+        x = np.fromiter(map(math.log, map(math.log, _values(first))), float, n)
+        y = np.fromiter(map(math.log, ratios), float, n)
         return x, y
+
+
+def _values(column: np.ndarray):
+    """A column's entries as Python numbers, one at a time unless it is object."""
+    return column.tolist() if column.dtype == object else memoryview(column)
 
 
 def _fit_points(points: _FitPoints, min_x: float, what: str):
@@ -207,7 +230,7 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     if (ks[1:] <= ks[:-1]).any():
         raise DomainError("polyexp fit needs strictly increasing k")
     k = ks.astype(float)
-    y = np.fromiter(map(math.log, points.counts.tolist()), float, len(points))
+    y = np.fromiter(map(math.log, _values(points.counts)), float, len(points))
     design = np.column_stack([np.ones_like(k), np.log(k), k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
@@ -453,7 +476,7 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     else:
         ns, counts = _sieve_counts(key, config)
         sequence_id = key
-    checkpoints = tuple(zip(ns.tolist(), counts.tolist()))
+    checkpoints = _FitPoints(ns, counts)
 
     # checkpoint index k: morphic sources carry the true iteration number
     # (Cor.-style counts live along it); sieve checkpoints have no intrinsic
@@ -464,12 +487,8 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     # counts a prefix of the next), so the usable points (N >= MIN_FIT_N,
     # count >= 1, not level 0 of a morphic source) are a suffix
     start = max(int(np.searchsorted(ns, MIN_FIT_N)), int(np.searchsorted(counts, 1)), int(morphic))
-    fit_counts = counts[start:]
-    ld_points = _FitPoints(ns[start:], fit_counts)
-    if morphic:
-        pe_points = _FitPoints(np.arange(start, len(ns)), fit_counts)
-    else:
-        pe_points = _FitPoints(np.arange(1, len(fit_counts) + 1), fit_counts)
+    ld_points = _FitPoints(ns[start:], counts[start:])  # views of the checkpoint columns
+    pe_points = _FitPoints(np.arange(len(ld_points)) + (start if morphic else 1), ld_points.counts)
 
     logdamped = fit_logdamped(ld_points) if len(ld_points) >= MIN_FIT_POINTS else None
     polyexp = fit_polyexp(pe_points) if len(pe_points) >= MIN_FIT_POINTS else None

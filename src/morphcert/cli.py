@@ -46,6 +46,10 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+# per seq count checkpoint: schedule int 40 B, counts 8, count int 40, pair 80
+_ROW_BYTES = 192
+
+
 def _mem_budget() -> int:
     raw = os.environ.get("MORPH_MEM_MB")
     if raw is None:
@@ -155,13 +159,17 @@ def cmd_seq_count(args) -> int:
     if key is not None:
         if args.symbol is not None:
             raise DomainError("--symbol applies only to morphic kinds")
-        entries = certify.sieve_counts(key, max_n, cps, budget).entries
+        rows = _ROW_BYTES * len(cps)
+        if rows > budget:
+            raise ResourceError(f"{len(cps)} checkpoints need about {rows} bytes, budget is {budget}")
+        entries = certify.sieve_counts(key, max_n, cps, budget - rows).entries
     else:
         system = words.parse_morphism_file(path)
         symbol = args.symbol if args.symbol is not None else system.coding[system.start]
         entries = words.prefix_count_series(system, symbol, cps)
-    lines = ["N,B"] + [f"{n},{b}" for n, b in entries]
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("N,B\n")
+    for i in range(0, len(entries), 4096):  # rows joined per write
+        sys.stdout.write("".join(f"{n},{b}\n" for n, b in entries[i:i + 4096]))
     return EXIT_OK
 
 

@@ -264,30 +264,42 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
 
 
 def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
-    """Member counts at the checkpoints from the byte map of [0, limit], given
-    as consecutive (lo, segment) pairs; stops reading after the largest one."""
-    for N in checkpoints:
-        if not 0 <= N <= limit:
-            raise DomainError(f"checkpoint {N} outside table range 0..{limit}")
-    todo = sorted({int(N) for N in checkpoints}, reverse=True)
-    counts: dict[int, int] = {}
-    total = 0
+    """Member counts at the checkpoints from the byte map of [0, limit], given as
+    consecutive (lo, segment) pairs of at most _SEG bytes; stops after the largest."""
+    if len(checkpoints) and not (0 <= min(checkpoints) and max(checkpoints) <= limit):
+        bad = next(N for N in checkpoints if not 0 <= N <= limit)
+        raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
+    want = np.array(checkpoints, dtype=np.int64)
+    order = np.argsort(want, kind="stable")
+    todo = want[order]
+    counts = np.empty_like(todo)
+    i = total = 0
     for lo, seg in segments:
-        if not todo:
+        if i == todo.size:
             break
-        start = 0
-        while todo and todo[-1] < lo + seg.size:
-            end = todo[-1] + 1 - lo
-            total += int(np.count_nonzero(seg[start:end]))
-            counts[todo.pop()] = total
-            start = end
-        total += int(np.count_nonzero(seg[start:]))
-    return CountSeries(tuple((int(N), counts[int(N)]) for N in checkpoints))
+        j = int(np.searchsorted(todo, lo + seg.size))
+        # members listed at 8 B each (a marked point each) cost about 500 gap counts
+        if j - i > seg.size >> 9:
+            pos = np.flatnonzero(seg)
+            counts[i:j] = total + np.searchsorted(pos, todo[i:j] - lo, side="right")
+            total += pos.size
+        else:
+            start = 0
+            for t, end in enumerate((todo[i:j] + 1 - lo).tolist(), i):
+                total += int(np.count_nonzero(seg[start:end]))
+                counts[t], start = total, end
+            total += int(np.count_nonzero(seg[start:]))
+        i = j
+    want[order] = counts  # the counts, in the caller's order
+    del order, todo, counts
+    # a list first: tuple() of an iterator grows by resizing, at twice the cost
+    return CountSeries(tuple(list(zip(map(int, checkpoints), want.tolist()))))
 
 
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
     """Exact member counts of [0, N] at each checkpoint N, in the given order."""
-    return _count_segments([(0, table.bits)], table.limit, checkpoints)
+    segments = ((lo, table.bits[lo:lo + _SEG]) for lo in range(0, table.limit + 1, _SEG))
+    return _count_segments(segments, table.limit, checkpoints)
 
 
 def _count_s2(N: int, x0: int, checkpoints: Sequence[int], kind: str,

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 import scipy.special  # noqa: F401  imported lazily by gamma_confidence; warm it here
 
-from morphcert import certify, numtheory
+from morphcert import certify, cli, numtheory
 from morphcert.cli import main
 from morphcert.errors import ResourceError
 
@@ -95,6 +95,9 @@ def devnull_stdout(monkeypatch):
     ("seq gen --kind s2nz --format ascii -N {N}", numtheory._s2_charge),
     ("seq gen --kind s2 --format bits -N {N}", numtheory._s2_charge),
     ("seq count --kind s2 --checkpoints geo:1024:2:{N}", numtheory._s2_count_charge),
+    # dense: every N up to 10^4, then 57 k more checkpoints to N
+    ("seq count --kind s2nz --checkpoints geo:1:1.0001:{N}", lambda N: numtheory._s2_count_charge(N)
+     + cli._ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
     ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
+import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphcert import certify, spectral
+from morphcert import certify, numtheory, spectral
 from morphcert.certify import (
     CASE_BETA_LT_ALPHA,
     CASE_SUPER_UNIT_ALPHA,
@@ -709,3 +712,92 @@ def test_fits_take_math_log_of_each_int():
     assert _hex(profile.__dict__.values()) == _hex(_ref_fit_logdamped(ld).__dict__.values())
     assert _hex(gamma_confidence(ld, profile)) == _hex(_ref_gamma_confidence(ld, profile))
     assert _hex(fit_polyexp(pe).__dict__.values()) == _hex(_ref_fit_polyexp(pe).__dict__.values())
+
+
+# --- report checkpoints as two columns ----------------------------------------
+
+def _checkpoint_cases(tmp_path):
+    """(report, the tuple of int pairs its checkpoints stand for) on a sieve
+    source, on column, and on object columns with counts above 2^63."""
+    cps = geometric_checkpoints(certify.N0, certify.RATIO, 2**20)
+    yield (certify_nonmorphic("s2"),
+           numtheory.count_series(numtheory.sieve_s2_additive(2**20), cps).entries)
+    sys = column()
+    ns, counts = _walk_counts(count_matrix(sys.morphism), sys.start, sys.letters_for("a"), 2**12)
+    yield (certify_nonmorphic(f"morphic:{MORPHISM_DIR / 'column.morph'}", CertifyConfig(max_n=2**12)),
+           tuple(zip(ns, counts)))
+    path = tmp_path / "triple.morph"
+    path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")
+    sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
+    ns, counts = _walk_counts(count_matrix(sys.morphism), 0, (1,), 10**40)
+    report = certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=10**40, symbol="b"))
+    assert report.checkpoints.counts.dtype == object and counts[-1] > 2**63
+    yield report, tuple(zip(ns, counts))
+
+
+def test_checkpoints_behave_like_the_tuple(tmp_path):
+    for report, want in _checkpoint_cases(tmp_path):
+        got = report.checkpoints
+        assert len(got) == len(want) >= 11
+        assert list(got) == list(want)
+        assert all(type(n) is int and type(c) is int for n, c in got)  # not np.int64
+        for i in (0, 1, len(want) // 2, -1, -2, -len(want)):
+            assert got[i] == want[i]
+            assert type(got[i]) is tuple and all(type(x) is int for x in got[i])
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                got[i]
+        for cut in (slice(None), slice(3), slice(-5, None), slice(1, -1, 7), slice(None, None, -3)):
+            assert type(got[cut]) is tuple and got[cut] == want[cut]
+            assert all(type(x) is int for pair in got[cut] for x in pair)
+        assert got == want and want == got and not got != want
+        assert got == certify._FitPoints.of(want)  # another instance, object columns
+        assert got != list(want) and list(want) != got  # as a tuple compares with a list
+        last = (want[-1][0], want[-1][1] + 1)
+        assert got != want[:-1] + (last,) and got != want[:-1]
+        assert got != certify._FitPoints.of(want[:-1] + (last,))
+        assert hash(got) == hash(want)
+        # a report with the plain tuple is the same report, hash and JSON
+        plain = dataclasses.replace(report, checkpoints=want)
+        assert plain == report and hash(plain) == hash(report)
+        assert plain.to_json_dict() == report.to_json_dict()
+
+
+def test_column_certificate_holds_no_pair_objects():
+    # 2^20 checkpoints; a tuple and two ints per pair would take 100 MiB more
+    src = f"morphic:{MORPHISM_DIR / 'column.morph'}"
+    certify_nonmorphic(src, CertifyConfig(max_n=2**12))  # first calls fill caches
+    tracemalloc.start()
+    try:
+        report = certify_nonmorphic(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.checkpoints) == 2**20
+    assert peak < 140 * 2**20
+
+
+def _assert_logdamped_xy_bitwise(first, counts):
+    """int64 columns give the x and y of math.log and int true division, bit for bit."""
+    points = certify._FitPoints(np.array(first, dtype=np.int64), np.array(counts, dtype=np.int64))
+    x = np.array([math.log(math.log(n)) for n in first])
+    y = np.array([math.log(operator.truediv(n, c)) for n, c in zip(first, counts)])
+    got_x, got_y = points.logdamped_xy
+    assert got_x.tobytes() == x.tobytes()
+    assert got_y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("bits", [20, 53, 63])
+def test_logdamped_xy_on_random_int64_columns(bits):
+    rng = random.Random(bits)
+    first = [rng.randrange(3, 2**bits) for _ in range(4000)]
+    _assert_logdamped_xy_bitwise(first, [rng.randint(1, n) for n in first])
+
+
+def test_logdamped_xy_next_to_2_53():
+    # 2^53 + 1 is no double: float division would read it as 2^53
+    rng = random.Random(53)
+    first = [2**53 + d for d in (-1, 0, 1) for _ in range(300)]
+    counts = [rng.randint(1, n) for n in first]
+    _assert_logdamped_xy_bitwise(first, counts)
+    _assert_logdamped_xy_bitwise(first[:300], counts[:300])  # all below 2^53

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphcert import numtheory
+from morphcert.certify import geometric_checkpoints
 from morphcert.errors import DomainError, ResourceError
 from morphcert.numtheory import (
     _BLOCK,
@@ -142,6 +143,40 @@ def test_streamed_counts_match_table(build, count):
                     inside + [N, 0, N // 3, N, N // 3, 0] + inside):
             cps = [int(n) for n in rng.permutation(cps)]
             assert count(N, cps) == count_series(table, cps), (N, cps)
+
+
+def _reference_count_segments(segments, limit, checkpoints):
+    """The loop that read one checkpoint at a time, one count_nonzero each: the oracle."""
+    for N in checkpoints:
+        if not 0 <= N <= limit:
+            raise DomainError(f"checkpoint {N} outside table range 0..{limit}")
+    todo = sorted({int(N) for N in checkpoints}, reverse=True)
+    counts = {}
+    total = 0
+    for lo, seg in segments:
+        if not todo:
+            break
+        start = 0
+        while todo and todo[-1] < lo + seg.size:
+            end = todo[-1] + 1 - lo
+            total += int(np.count_nonzero(seg[start:end]))
+            counts[todo.pop()] = total
+            start = end
+        total += int(np.count_nonzero(seg[start:]))
+    return CountSeries(tuple((int(N), counts[int(N)]) for N in checkpoints))
+
+
+@pytest.mark.parametrize("x0", [0, 1])
+def test_count_segments_match_loop_reference(x0):
+    N = 3 * _SEG + 5
+    rng = np.random.default_rng(x0)
+    dense = geometric_checkpoints(1, 1.0001, N)  # every N up to 10^4, then 44 k more
+    edges = [k * _SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for cps in (dense, geometric_checkpoints(1024, 2.0, N), [], [N], [0, 0],
+                [int(n) for n in rng.permutation(dense[::7] + edges + edges + [N, 0])],
+                list(range(_SEG - 300, _SEG + 300)) + [5, 5, N]):
+        want = _reference_count_segments(numtheory._s2_segments(N, x0), N, cps)
+        assert numtheory._count_segments(numtheory._s2_segments(N, x0), N, cps) == want
 
 
 def test_streamed_counts_reject_like_count_series():
