@@ -43,6 +43,25 @@ MIN_FIT_N = 4096        # checkpoints below this are transient regime
 RESIDUAL_MARGIN = 0.7   # winner needs RMS <= margin * loser's RMS
 EXACT_FIT_FLOOR = 1e-6  # polyexp RMS below this is an exact morphic fit
 CI_LEVEL = 0.95
+# float(stdtrit(d, 0.5 + CI_LEVEL / 2.0)) at index d - 1, d = 1..64, from scipy 1.17.1
+_T_QUANTILE = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+)
 
 
 @dataclass(frozen=True)
@@ -249,10 +268,6 @@ def gamma_confidence(
     level: float = CI_LEVEL,
 ) -> tuple[float, float]:
     """Symmetric t-interval for gamma from the regression slope standard error."""
-    # deferred: only fits need scipy; scipy.special imports in under half the
-    # time scipy.stats takes
-    from scipy.special import stdtrit
-
     points = _FitPoints.of(points)
     n = len(points)
     if n < 3:
@@ -264,7 +279,14 @@ def gamma_confidence(
     dof = n - 2
     s2 = float(np.sum(resid * resid)) / dof
     se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
-    tq = float(stdtrit(dof, 0.5 + level / 2.0))
+    if level == CI_LEVEL and dof <= len(_T_QUANTILE):
+        tq = _T_QUANTILE[dof - 1]
+    else:
+        # deferred: importing scipy costs a cold start more than most
+        # certificates do, and only an interval off the table needs it
+        from scipy.special import stdtrit
+
+        tq = float(stdtrit(dof, 0.5 + level / 2.0))
     return (profile.gamma - tq * se, profile.gamma + tq * se)
 
 
@@ -337,6 +359,10 @@ def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
         except OverflowError:
             return math.inf
 
+    # below dense a step adds less than 1 to the computed n0 * ratio^j, so the
+    # floors hit every integer: 2^-49 allows 2 ulps of float error in each
+    # value, 2^-20 the rounding of dense itself
+    dense = math.floor((1 - 2**-20) / (ratio - 1 + 2**-49))
     out: list[int] = []
     j, v = 0, at(0)
     while True:
@@ -344,16 +370,17 @@ def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
             raise DomainError("checkpoint schedule leaves the float range")
         if v > max_n:
             return out
-        out.append(v)
-        # the values never fall as j grows: step to the first larger one, w,
+        top = max(v, min(max_n, dense))
+        out.extend(range(v, top + 1))
+        # the values never fall as j grows: step to the first one past top, w,
         # by doubling past it, then bisecting
         lo, hi = j, j + 1
-        while (w := at(hi)) <= v:
+        while (w := at(hi)) <= top:
             lo, hi = hi, 2 * hi - j
         while hi - lo > 1:
             mid = (lo + hi) // 2
             u = at(mid)
-            if u <= v:
+            if u <= top:
                 lo = mid
             else:
                 hi, w = mid, u

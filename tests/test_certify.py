@@ -223,6 +223,37 @@ def step_checkpoints(n0, ratio, max_n):
         j += 1
 
 
+def bisect_checkpoints(n0, ratio, max_n):
+    """The doubling and bisecting search, one checkpoint at a time, that dense
+    runs of consecutive integers replaced: the oracle for those runs."""
+
+    def at(j):
+        try:
+            return int(n0 * ratio**j)
+        except OverflowError:
+            return math.inf
+
+    out = []
+    j, v = 0, at(0)
+    while True:
+        if v == math.inf:
+            raise DomainError("checkpoint schedule leaves the float range")
+        if v > max_n:
+            return out
+        out.append(v)
+        lo, hi = j, j + 1
+        while (w := at(hi)) <= v:
+            lo, hi = hi, 2 * hi - j
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            u = at(mid)
+            if u <= v:
+                lo = mid
+            else:
+                hi, w = mid, u
+        j, v = hi, w
+
+
 class TestGeometricCheckpoints:
     @pytest.mark.parametrize("ratio", [
         1 + 1e-7, 1 + 1e-6, 1 + 3e-5, 1.0003, 1.01, 1.05, 1.3, 2.0, 2.5, 3.0])
@@ -242,10 +273,32 @@ class TestGeometricCheckpoints:
                     want = step_checkpoints(n0, ratio, max_n)
                     assert geometric_checkpoints(n0, ratio, max_n) == want, (n0, max_n)
 
+    @pytest.mark.parametrize("ratio", [
+        1 + 1e-9, 1 + 1e-7, 1 + 1e-6, 1 + 1e-5, 1 + 3e-5, 1.0001, 1.001, 1.01, 1.1,
+        1.5, 2.0, 3.0])
+    def test_dense_runs_match_bisect_loop(self, ratio):
+        edge = round(1 / (ratio - 1))  # where one step adds 1 to n0 * ratio^j
+        cases = [(n0, max_n) for n0 in (1, 3, 1024, 10**9)
+                 for max_n in (10**3, 10**5, 10**7, n0 + 10**4)]
+        # schedules that start just below, on and just past the edge
+        cases += [(edge + d, edge + d + 4000) for d in (-2000, -1, 0, 1) if edge + d >= 1]
+        for n0, max_n in cases:
+            # the oracle takes up to 60 steps per checkpoint: skip schedules
+            # with more than 2 * 10^4 checkpoints
+            if n0 <= max_n and min(max_n - n0, math.log(max_n / n0) / math.log(ratio)) > 2e4:
+                continue
+            want = bisect_checkpoints(n0, ratio, max_n)
+            assert geometric_checkpoints(n0, ratio, max_n) == want, (n0, max_n)
+
+    def test_dense_schedule_is_every_integer(self):
+        assert geometric_checkpoints(1, 1.000001, 10**6) == list(range(1, 10**6 + 1))
+
     def test_overflow_where_the_step_loop_overflows(self):
         for n0, ratio, max_n in ((1, 2.0, 10**400), (3, 1e300, 10**400), (10**309, 2.0, 10**400)):
             with pytest.raises(DomainError, match="float range"):
                 step_checkpoints(n0, ratio, max_n)
+            with pytest.raises(DomainError, match="float range"):
+                bisect_checkpoints(n0, ratio, max_n)
             with pytest.raises(DomainError, match="float range"):
                 geometric_checkpoints(n0, ratio, max_n)
         # the step loop stops at a value past max_n before any overflow
@@ -712,6 +765,24 @@ def test_fits_take_math_log_of_each_int():
     assert _hex(profile.__dict__.values()) == _hex(_ref_fit_logdamped(ld).__dict__.values())
     assert _hex(gamma_confidence(ld, profile)) == _hex(_ref_gamma_confidence(ld, profile))
     assert _hex(fit_polyexp(pe).__dict__.values()) == _hex(_ref_fit_polyexp(pe).__dict__.values())
+
+
+def test_t_quantile_table_is_stdtrit():
+    from scipy.special import stdtrit
+
+    assert len(certify._T_QUANTILE) == 64
+    for d, tq in enumerate(certify._T_QUANTILE, 1):
+        assert tq == float(stdtrit(d, 0.5 + certify.CI_LEVEL / 2.0)), d
+
+
+def test_gamma_confidence_on_and_off_the_table():
+    # 66 points give dof 64, the table's last entry; 67 give dof 65, off it
+    for n_points, level in ((66, 0.95), (67, 0.95), (66, 0.9)):
+        ns = [int(4096 * 1.25**j) for j in range(n_points)]
+        points = logdamped_counts(0.76, 0.5, ns, rounded=True)
+        profile = fit_logdamped(points)
+        got = gamma_confidence(points, profile, level)
+        assert _hex(got) == _hex(_ref_gamma_confidence(points, profile, level)), n_points
 
 
 # --- report checkpoints as two columns ----------------------------------------

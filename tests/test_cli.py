@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from morphcert import words
 from morphcert.cli import main
 from morphcert.numtheory import sieve_s2_additive, sieve_s2_nonzero
 
-from conftest import MORPHISM_DIR
+from conftest import MORPHISM_DIR, REPO_ROOT
 
 TM = str(MORPHISM_DIR / "thue_morse.morph")
 FIB = str(MORPHISM_DIR / "fibonacci.morph")
@@ -289,6 +292,37 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--source", "collatz")
         assert code == 1
         assert "usage error" in err
+
+
+def _loads_scipy(*commands):
+    """Run cli.main on each argv in one new interpreter; did scipy get imported?"""
+    script = (
+        "import json, sys\n"
+        "from morphcert import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "sys.stderr.write(f\"scipy loaded: {'scipy' in sys.modules}\\n\")\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
+    return done.stderr.splitlines()[-1] == "scipy loaded: True"
+
+
+class TestColdPaths:
+    def test_common_commands_do_not_load_scipy(self, tmp_path):
+        rows = [(2**j, round(0.8 * 2**j / math.log(2**j) ** 0.5)) for j in range(10, 22)]
+        csv = tmp_path / "counts.csv"
+        csv.write_text("".join(f"{n},{c}\n" for n, c in rows))
+        assert not _loads_scipy(
+            ["certify", "--source", "s2", "-N", "1048576"],
+            ["certify", "--source", "morphic:morphisms/thue_morse.morph"],
+            ["fit", "--model", "logdamped", "--input", str(csv)],
+        )
+
+    def test_more_degrees_of_freedom_than_the_table_load_scipy(self):
+        # chain's report fits 1358 points: dof 1356
+        assert _loads_scipy(["certify", "--source", "morphic:morphisms/chain.morph"])
 
 
 class TestLrConstant:
