@@ -346,12 +346,29 @@ def select_model(
     return None
 
 
-def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
-    """Deduplicated floor(n0 * ratio^j) while <= max_n (may be empty)."""
+def _dense_end(n0: int, ratio: float) -> int:
+    """Check a schedule; up to the value returned its floors hit every integer."""
     if n0 < 1:
         raise DomainError("n0 must be >= 1")
     if not ratio > 1.0:  # also rejects NaN
         raise DomainError("ratio must be > 1")
+    # below it a step adds less than 1 to the computed n0 * ratio^j: 2^-49
+    # allows 2 ulps of float error in each value, 2^-20 its own rounding
+    return math.floor((1 - 2**-20) / (ratio - 1 + 2**-49))
+
+
+def _schedule_size(n0: int, ratio: float, max_n: int) -> int:
+    """At least len(geometric_checkpoints(n0, ratio, max_n)), building nothing: the
+    opening run exactly, then the steps past it by logarithms, plus 2 for rounding."""
+    top = max(n0, min(max_n, _dense_end(n0, ratio)))
+    if top >= max_n:
+        return max(0, max_n - n0 + 1)
+    return top - n0 + 3 + int((math.log(max_n + 1) - math.log(top + 1)) / math.log(ratio))
+
+
+def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
+    """Deduplicated floor(n0 * ratio^j) while <= max_n (may be empty)."""
+    dense = _dense_end(n0, ratio)
 
     def at(j: int) -> float:  # a value past the float range reads as inf
         try:
@@ -359,10 +376,6 @@ def geometric_checkpoints(n0: int, ratio: float, max_n: int) -> list[int]:
         except OverflowError:
             return math.inf
 
-    # below dense a step adds less than 1 to the computed n0 * ratio^j, so the
-    # floors hit every integer: 2^-49 allows 2 ulps of float error in each
-    # value, 2^-20 the rounding of dense itself
-    dense = math.floor((1 - 2**-20) / (ratio - 1 + 2**-49))
     out: list[int] = []
     j, v = 0, at(0)
     while True:
@@ -456,37 +469,41 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
 
     Levels are built in doubling blocks: if the columns of V are the count
     vectors of levels 0..K-1 and P = M^K, the columns of P V are those of
-    levels K..2K-1. The arithmetic is int64, exact modulo 2^64, so every entry
-    whose true value is below 2^63 comes out exact. A float shadow of P,
-    capped at 2^64 so that it stays finite, bounds the new lengths: each is at
-    most the longest |phi^K(a)| times N_{K-1}. Only if that bound reaches _WIDE
-    are the columns checked one by one; the first that may not be exact, and
-    all after it, lie past max_n, since N_k grows with k. Only when max_n is
-    itself not below 2^62 are the counts Python ints.
+    levels K..2K-1, with lengths colsum(P) V. The arithmetic is int64, exact
+    modulo 2^64, so every entry whose true value is below 2^63 comes out
+    exact. A float shadow of P, capped at 2^64 so that it stays finite, gives
+    the lengths to well within a factor of 2. Only if the last length may pass
+    max_n are the lengths formed, and the block cut to those <= max_n before
+    P V is; only if it reaches _WIDE are the columns checked one by one, and
+    the first that may not be exact, and all after it, lie past max_n, since
+    N_k grows with k. Only when max_n is itself not below 2^62 are the counts
+    Python ints.
     """
     exact = max_n < _INT64_SAFE
     m = np.array(rows, dtype=np.int64 if exact else object)
-    v = np.zeros((len(rows), 1), m.dtype)
+    v = np.zeros((len(rows), int(max_n >= 1)), m.dtype)  # level 0 has N_0 = 1
     v[start] = 1
     p = m
     shadow = m.astype(float) if exact else None
-    last = 1
-    while last <= max_n:
-        if v.shape[1] > 1:
+    while k := v.shape[1]:
+        if k > 1:
             p = p @ p
             if exact:
                 shadow = np.minimum(shadow @ shadow, 2.0**64)
-        block = p @ v
-        if exact and shadow.sum(axis=0).max() * last >= _WIDE:
-            wide = shadow.sum(axis=0) @ v.astype(float) >= _WIDE
-            if wide.any():
-                v = np.concatenate((v, block[:, :wide.argmax()]), axis=1)
-                break
-        v = np.concatenate((v, block), axis=1)
-        last = block[:, -1].sum()
-    n = v.sum(axis=0)
-    cut = int(np.searchsorted(n, max_n, side="right"))
-    return n[:cut], v[list(targets), :cut].sum(axis=0)
+        top = shadow.sum(axis=0) @ v[:, -1] if exact else math.inf  # about N_{2K-1}
+        take = k
+        if 2 * top > max_n:
+            lengths = p.sum(axis=0) @ v
+            if exact and top >= _WIDE:
+                wide = shadow.sum(axis=0) @ v.astype(float) >= _WIDE
+                if wide.any():
+                    lengths = lengths[:wide.argmax()]
+            take = int(np.searchsorted(lengths, max_n, side="right"))
+        if take:
+            v = np.concatenate((v, p @ v[:, :take]), axis=1)
+        if take < k:
+            break
+    return v.sum(axis=0), v[list(targets)].sum(axis=0)
 
 
 def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:

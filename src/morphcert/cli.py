@@ -154,15 +154,16 @@ def _parse_schedule(text: str) -> tuple[int, float, int]:
 def cmd_seq_count(args) -> int:
     budget = _mem_budget()
     n0, ratio, max_n = _parse_schedule(args.checkpoints)
-    cps = certify.geometric_checkpoints(n0, ratio, max_n)
+    size = certify._schedule_size(n0, ratio, max_n)  # charged before the schedule is built
     key, path = _resolve(args.kind, "--kind")
     if key is not None:
         if args.symbol is not None:
             raise DomainError("--symbol applies only to morphic kinds")
-        rows = _ROW_BYTES * len(cps)
-        if rows > budget:
-            raise ResourceError(f"{len(cps)} checkpoints need about {rows} bytes, budget is {budget}")
-        entries = certify.sieve_counts(key, max_n, cps, budget - rows).entries
+        if _ROW_BYTES * size > budget:
+            raise ResourceError(f"{size} checkpoints need about {_ROW_BYTES * size} bytes, budget is {budget}")
+    cps = certify.geometric_checkpoints(n0, ratio, max_n)
+    if key is not None:
+        entries = certify.sieve_counts(key, max_n, cps, budget - _ROW_BYTES * len(cps)).entries
     else:
         system = words.parse_morphism_file(path)
         symbol = args.symbol if args.symbol is not None else system.coding[system.start]

@@ -301,19 +301,61 @@ def count_in_prefix(sys: MorphicSystem, symbol: str, n: int) -> int:
     """Occurrences of symbol among the first n output symbols."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    targets = sys.letters_for(symbol)
-    return sum(block.count(t) for block in _prefix_blocks(sys, n) for t in targets)
+    return _prefix_counts(sys, sys.letters_for(symbol), [n])[0]
 
 
 def prefix_count_series(
     sys: MorphicSystem, symbol: str, checkpoints: Sequence[int]
 ) -> list[tuple[int, int]]:
-    """(n, count) at several prefix lengths in one pass over the stream."""
+    """(n, count) at several prefix lengths, in the order given."""
     targets = sys.letters_for(symbol)
-    for n in checkpoints:
-        if n < 0:
-            raise DomainError("prefix lengths must be >= 0")
-    pending = sorted(set(checkpoints))
+    if any(n < 0 for n in checkpoints):
+        raise DomainError("prefix lengths must be >= 0")
+    return list(zip(checkpoints, _prefix_counts(sys, targets, checkpoints)))
+
+
+# Past this many levels counts stream: alpha > 1 passes 10^30 within a few
+# hundred (Thue-Morse 100, Fibonacci 144); column needs n, chain about sqrt(2n).
+_MAX_LEVELS = 256
+
+
+def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:
+    """Target letters among the first n letters of the fixed point, for each n.
+
+    The table holds |phi^k(a)| and the target letters in phi^k(a) per letter a
+    for k = 0..K, |phi^K(b)| >= max(ns). The first n letters of phi^K(b) are
+    phi^{K-1}(p_{K-1}) ... phi(p_1) p_0 (Dumont and Thomas 1989): a count adds
+    the whole blocks phi^{k-1}(c) of phi(a) that fit and enters the next one a
+    level down, at most K max|phi(a)| additions.
+    """
+    images = sys.morphism.images
+    lengths = [1] * len(images)
+    counts = [int(a in targets) for a in range(len(images))]
+    table = [(lengths, counts)]
+    top = max(ns, default=0)
+    while lengths[sys.start] < top:
+        if len(table) > _MAX_LEVELS:
+            return _streamed_counts(sys, targets, ns)
+        lengths = [sum(map(lengths.__getitem__, img)) for img in images]
+        counts = [sum(map(counts.__getitem__, img)) for img in images]
+        table.append((lengths, counts))
+    out = []
+    for n in ns:
+        a, total = sys.start, 0
+        for lengths, counts in reversed(table[:-1]):
+            for c in images[a]:
+                if n <= lengths[c]:
+                    a = c
+                    break
+                n -= lengths[c]
+                total += counts[c]
+        out.append(total + table[0][1][a] if n else total)  # n is 0 or 1 here
+    return out
+
+
+def _streamed_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:
+    """As _prefix_counts, in one pass over the prefix from _prefix_blocks."""
+    pending = sorted(set(ns))
     out: dict[int, int] = {}
     pos = 0
     total = 0
@@ -330,7 +372,7 @@ def prefix_count_series(
             idx += 1
         total += sum(block.count(t) for t in targets)
         pos = end
-    return [(n, out[n]) for n in checkpoints]
+    return [out[n] for n in ns]
 
 
 def parse_morphism_spec(text: str) -> MorphicSystem:

@@ -119,6 +119,21 @@ def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
     assert peak <= mb * MIB
 
 
+def test_seq_count_refuses_before_building_the_schedule(monkeypatch, devnull_stdout):
+    # 10^6 checkpoints need about 183 MiB; the refusal builds none of them
+    argv = "seq count --kind s2 --checkpoints geo:1:1.000001:1000000".split()
+    monkeypatch.setenv("MORPH_MEM_MB", "1")
+    main(argv)  # warm
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < MIB
+
+
 def test_certify_counts_without_the_table(monkeypatch, tmp_path):
     # a 24 MiB table cannot fit in 8 MiB; the streamed counts need no table
     N = 24 * MIB

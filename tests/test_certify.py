@@ -598,6 +598,22 @@ class TestLevelCounts:
         for max_n in (0, 1, 2, 5000, 2**60):
             _assert_level_counts(sys, "b", max_n)
 
+    def test_column_peak(self):
+        # 2^20 levels of two int64 counts hold 16 MiB. The last doubling block
+        # is cut to the levels that can still be <= max_n before it is formed,
+        # and the returned columns own their data
+        rows = count_matrix(column().morphism)
+        certify._level_counts(rows, 0, (1,), 2**10)  # warm
+        tracemalloc.start()
+        try:
+            ns, counts = certify._level_counts(rows, 0, (1,), 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * 2**20
+        assert len(ns) == len(counts) == 2**20 and ns[-1] == 2**20 and counts[-1] == 2**20 - 1
+        assert ns.base is None and counts.base is None
+
     def test_certify_reads_level_counts(self, tmp_path):
         path = tmp_path / "triple.morph"
         path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")

@@ -170,6 +170,19 @@ class TestSeqCount:
         # Thue-Morse prefixes at powers of two split evenly between 0s and 1s
         assert out_other == out_default
 
+    def test_morphic_far_checkpoints(self, capsys):
+        # 1024 * 2^j up to 2^100: counted from the level table, not streamed
+        code, out, _ = run(
+            capsys, "seq", "count", "--kind", f"morphic:{TM}",
+            "--checkpoints", f"geo:1024:2:{2**100}",
+        )
+        assert code == 0
+        lines = out.split()
+        assert lines[0] == "N,B" and len(lines) == 92
+        for line in lines[1:]:
+            n, b = map(int, line.split(","))
+            assert 2 * b == n
+
     def test_bad_schedule(self, capsys):
         cases = [
             ("lin:1:2:3", 1),

@@ -1,9 +1,11 @@
 import math
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphcert import words
 from morphcert.errors import (
     DomainError,
     ParseError,
@@ -28,6 +30,7 @@ from morphcert.words import (
 from conftest import (
     chain,
     column,
+    doubling,
     fibonacci,
     make_morphism,
     make_system,
@@ -492,3 +495,105 @@ def test_checkpoint_lengths_match_iterate(sys, k):
 @given(prolongable_systems(), st.integers(0, 400))
 def test_stream_and_counts_match_reference(sys, n):
     _assert_matches_reference(sys, n)
+
+
+# --- Dumont-Thomas descent against the streamed prefix ----------------------
+
+
+def _no_stream(sys, n):
+    raise AssertionError("streamed the prefix")
+
+
+@settings(max_examples=80, deadline=None)
+@given(prolongable_systems(), st.integers(0, 6), st.data())
+def test_descent_matches_prefix_blocks(sys, k, data):
+    # around N_k, repeated and in any order; k <= 6 stays far below the level
+    # cap, so every count here descends the level table
+    n_k = checkpoints(sys, k).lengths()[-1]
+    ns = data.draw(st.lists(st.sampled_from([0, 1, n_k - 1, n_k, n_k + 1]), min_size=1, max_size=8))
+    word = b"".join(_prefix_blocks(sys, max(ns)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_prefix_blocks", _no_stream)
+        for symbol in sys.symbols():
+            targets = sys.letters_for(symbol)
+            want = [(n, sum(word[:n].count(t) for t in targets)) for n in ns]
+            assert prefix_count_series(sys, symbol, ns) == want
+            assert [count_in_prefix(sys, symbol, n) for n, _ in want] == [c for _, c in want]
+
+
+def _fib_zeros(n):
+    # a (coded 0) among the first n letters of the Fibonacci word
+    m = n + 1
+    return (math.isqrt(5 * m * m) - m) // 2
+
+
+class TestDescent:
+    def test_closed_forms(self, tm, fib):
+        ns = list(range(2000))
+        assert prefix_count_series(fib, "0", ns) == [(n, _fib_zeros(n)) for n in ns]
+        N = 10**30
+        for n in (N, N + 2, 2**101):
+            assert count_in_prefix(tm, "1", n) == n // 2 == count_in_prefix(tm, "0", n)
+        for n in (N - 1, N, N + 1):
+            assert count_in_prefix(fib, "0", n) == _fib_zeros(n)
+            assert count_in_prefix(fib, "1", n) == n - _fib_zeros(n)
+        cps = [N, 3, N, 10**29]
+        assert prefix_count_series(fib, "0", cps) == [(n, _fib_zeros(n)) for n in cps]
+
+    def test_growing_words_never_stream(self, tm, fib, monkeypatch):
+        # alpha > 1, including a 48-letter word drawn like the benchmark's
+        # random morphisms, counts from the level table alone
+        systems = [tm, fib, doubling(), _random_primitive(random.Random(1), 48)]
+        ns = [10**5, 10**5 // 7]
+        want = []
+        for sys in systems:
+            word = b"".join(_prefix_blocks(sys, ns[0]))
+            targets = sys.letters_for(sys.coding[0])
+            want.append([(n, sum(word[:n].count(t) for t in targets)) for n in ns])
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        for sys, pairs in zip(systems, want):
+            assert prefix_count_series(sys, sys.coding[0], ns) == pairs
+            assert count_in_prefix(sys, sys.coding[0], ns[0]) == pairs[0][1]
+
+    def test_linear_words_stream(self, monkeypatch):
+        # column has |phi^k(a)| = k + 1: the table reaches n = cap + 1 and no further
+        cap = words._MAX_LEVELS
+        want = count_in_prefix(column(), "b", cap + 1)
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        assert count_in_prefix(column(), "b", cap + 1) == want == cap
+        for sys in (column(), chain()):
+            with pytest.raises(AssertionError, match="streamed"):
+                count_in_prefix(sys, "b", 10**6)
+            with pytest.raises(AssertionError, match="streamed"):
+                prefix_count_series(sys, "b", [5, 10**6])
+        with pytest.raises(AssertionError, match="streamed"):
+            count_in_prefix(column(), "b", cap + 2)
+
+    def test_errors_come_first(self, tm):
+        with pytest.raises(DomainError):
+            count_in_prefix(tm, "z", -1)
+        with pytest.raises(UnknownSymbol):
+            prefix_count_series(tm, "z", [-1])
+        with pytest.raises(DomainError):
+            prefix_count_series(tm, "1", [4, -1, 10**40])
+        assert prefix_count_series(tm, "1", []) == []
+
+
+def _random_primitive(rng, d):
+    """A primitive prolongable morphism on d letters with images of 1-3 letters:
+    a random cycle through the letters makes every letter reach every other."""
+    letters = tuple(f"x{i}" for i in range(d))
+    order = [0] + rng.sample(range(1, d), d - 1)
+    succ = {order[i]: order[(i + 1) % d] for i in range(d)}
+    lengths = [(1, 2, 3)[i % 3] for i in range(d)]
+    rng.shuffle(lengths)
+    lengths[0] = 3
+    rules = {}
+    for i, n in enumerate(lengths):
+        img = [rng.randrange(d) for _ in range(n)]
+        img[rng.randrange(1, n) if i == 0 else rng.randrange(n)] = succ[i]
+        if i == 0:
+            img[0] = 0
+        rules[letters[i]] = [letters[j] for j in img]
+    coding = {lid: "01"[i % 2] for i, lid in enumerate(letters)}
+    return make_system(letters, rules, "x0", coding=coding)
