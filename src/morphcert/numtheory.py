@@ -3,8 +3,9 @@
 Two permanently independent s2 implementations act as mutual oracles: additive
 marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and Fermat's
 multiplicative criterion on prime valuations. Tables are numpy uint8 byte maps
-over 0..N; the count_s2_* functions read the additive segments directly and
-never hold the N-byte map.
+over 0..N; the count_s2_* functions and diff_bound_check read the additive
+segments directly and never hold an N-byte map. The Euler product sieves odd
+numbers only, half a byte per integer up to P.
 """
 
 from __future__ import annotations
@@ -85,15 +86,16 @@ def _multiplicative_charge(N: int) -> int:
 
 
 def _euler_charge(P: int) -> int:
-    # the prime mask, the int64 indices of primes p = 3 (mod 4) and their
-    # float64 factors
-    return P + 1 + 16 * _pi_bound(P) + _OVERHEAD
+    # the odd-only prime mask, the int64 indices of primes p = 3 (mod 4) and
+    # their float64 factors
+    return (P + 1) // 2 + 16 * _pi_bound(P) + _OVERHEAD
 
 
 def _diff_charge(N: int) -> int:
-    # both byte maps, plus the larger of the second sieve's segments and one
-    # block of int64/float64 running differences, n, roots and their temporaries
-    return 2 * (N + 1) + max(_segment_bytes(N), 48 * min(_BLOCK, N + 1)) + _OVERHEAD
+    # both sieves' segments, one marking while the other keeps its buffer and
+    # rows; then one block of change points, 48 B each if every byte changes
+    kept = min(_SEG, N + 1) + 16 * (math.isqrt(N // 2) + 1)
+    return kept + max(_segment_bytes(N), kept + 48 * min(_BLOCK, N + 1)) + _OVERHEAD
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +246,7 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_multiplicative_charge(N), mem_budget, "multiplicative s2 sieve")
-    p3 = np.flatnonzero(_prime_mask(math.isqrt(N))[3::4]) * 4 + 3
+    p3 = np.flatnonzero(_prime_mask(math.isqrt(N))[1::2]) * 4 + 3
     acc = np.zeros(N + 1, dtype=np.int8)  # sum of v_p(n) mod 2; < log2(N) so no overflow
     for p in p3.tolist():
         pe, sign = p, 1
@@ -333,12 +335,13 @@ def lr_estimate_sieve(series: CountSeries) -> list[LrEstimate]:
 
 
 def _prime_mask(P: int) -> np.ndarray:
-    mask = np.ones(P + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(P) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return mask
+    """odd[i] = True iff 2i + 1 <= P is prime; odd[1::2] are the p = 3 (mod 4)."""
+    odd = np.ones((P + 1) // 2, dtype=bool)
+    odd[:1] = False
+    for p in range(3, math.isqrt(P) + 1, 2):
+        if odd[p >> 1]:
+            odd[p * p >> 1::p] = False
+    return odd
 
 
 def lr_euler_product(P: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> LrEstimate:
@@ -350,9 +353,7 @@ def lr_euler_product(P: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> LrEstima
     if P < 2:
         raise DomainError("P must be >= 2")
     _check_budget(_euler_charge(P), mem_budget, "euler product prime sieve")
-    mask = _prime_mask(P)
-    f = np.nonzero(mask[3::4])[0].astype(np.float64)
-    del mask
+    f = np.flatnonzero(_prime_mask(P)[1::2]).astype(np.float64)
     # f = p, then 1 - p^-2 in place, rounding each step as 1.0 - 1.0 / (p * p)
     f *= 4.0
     f += 3.0
@@ -375,23 +376,27 @@ def diff_bound_check(
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_diff_charge(N), mem_budget, "difference bound check")
-    bits = sieve_s2_additive(N, mem_budget=mem_budget).bits
-    bits_nz = sieve_s2_nonzero(N, mem_budget=mem_budget).bits
+    # B - B' moves only where the two byte maps differ; between those points
+    # |B - B'| is constant and floor(sqrt(n)) + 1 never falls, so the first
+    # violation and the largest difference both fall on a change point
     first = None
     worst = carry = 0  # carry = B(lo - 1) - B'(lo - 1)
-    for lo in range(0, N + 1, _BLOCK):
-        hi = min(lo + _BLOCK, N + 1)
-        diff = np.cumsum(bits[lo:hi], dtype=np.int64)
-        diff -= np.cumsum(bits_nz[lo:hi], dtype=np.int64)
-        diff += carry
-        carry = int(diff[-1])
-        np.abs(diff, out=diff)
-        root = _isqrt(np.arange(lo, hi, dtype=np.int64))
-        if first is None:
-            bad = np.flatnonzero(diff > root + 1)
-            if bad.size:
-                first = lo + int(bad[0])
-        worst = max(worst, int(diff.max()))
+    for (lo, a), (_, b) in zip(_s2_segments(N, 0), _s2_segments(N, 1)):
+        for s in range(0, a.size, _BLOCK):
+            x, y = a[s:s + _BLOCK], b[s:s + _BLOCK]
+            at = np.flatnonzero(x != y)
+            if not at.size:
+                continue
+            diff = np.cumsum(x[at].astype(np.int64) - y[at])
+            diff += carry
+            carry = int(diff[-1])
+            np.abs(diff, out=diff)
+            if first is None:
+                at += lo + s
+                bad = np.flatnonzero(diff > _isqrt(at) + 1)
+                if bad.size:
+                    first = int(at[bad[0]])
+            worst = max(worst, int(diff.max()))
     return first, worst
 
 

@@ -322,34 +322,34 @@ _MAX_LEVELS = 256
 def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:
     """Target letters among the first n letters of the fixed point, for each n.
 
-    The table holds |phi^k(a)| and the target letters in phi^k(a) per letter a
-    for k = 0..K, |phi^K(b)| >= max(ns). The first n letters of phi^K(b) are
-    phi^{K-1}(p_{K-1}) ... phi(p_1) p_0 (Dumont and Thomas 1989): a count adds
-    the whole blocks phi^{k-1}(c) of phi(a) that fit and enters the next one a
-    level down, at most K max|phi(a)| additions.
+    Two tables hold |phi^k(a)| and the target letters in phi^k(a) per letter a
+    for k < K, the least level with |phi^K(b)| >= max(ns). The first n letters
+    of phi^K(b) are phi^{K-1}(p_{K-1}) ... phi(p_1) p_0 (Dumont and Thomas
+    1989): a count adds the whole blocks phi^{k-1}(c) of phi(a) that fit and
+    enters the next one a level down, at most K max|phi(a)| additions.
     """
     images = sys.morphism.images
-    lengths = [1] * len(images)
-    counts = [int(a in targets) for a in range(len(images))]
-    table = [(lengths, counts)]
+    # the lengths first: past the cap no count row is built before streaming
+    len_rows = [[1] * len(images)]
     top = max(ns, default=0)
-    while lengths[sys.start] < top:
-        if len(table) > _MAX_LEVELS:
+    while len_rows[-1][sys.start] < top:
+        if len(len_rows) > _MAX_LEVELS:
             return _streamed_counts(sys, targets, ns)
-        lengths = [sum(map(lengths.__getitem__, img)) for img in images]
-        counts = [sum(map(counts.__getitem__, img)) for img in images]
-        table.append((lengths, counts))
+        len_rows.append([sum(map(len_rows[-1].__getitem__, img)) for img in images])
+    count_rows = [[int(a in targets) for a in range(len(images))]]
+    for _ in len_rows[2:]:  # levels 0..K-1: level K only decided K
+        count_rows.append([sum(map(count_rows[-1].__getitem__, img)) for img in images])
     out = []
     for n in ns:
         a, total = sys.start, 0
-        for lengths, counts in reversed(table[:-1]):
+        for lengths, counts in zip(reversed(len_rows[:-1]), reversed(count_rows)):
             for c in images[a]:
                 if n <= lengths[c]:
                     a = c
                     break
                 n -= lengths[c]
                 total += counts[c]
-        out.append(total + table[0][1][a] if n else total)  # n is 0 or 1 here
+        out.append(total + count_rows[0][a] if n else total)  # n is 0 or 1 here
     return out
 
 

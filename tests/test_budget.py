@@ -82,6 +82,20 @@ def test_peak_within_charge(name, small):
         call(n, budget - 1)
 
 
+def test_diff_bound_streams_within_8_mib():
+    # two 4 MiB tables and their running sums cannot fit; two segments can
+    N = 4 * MIB
+    assert numtheory._diff_charge(N) <= 8 * MIB
+    tracemalloc.start()
+    try:
+        first, _ = numtheory.diff_bound_check(N, mem_budget=8 * MIB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first is None
+    assert peak <= numtheory._diff_charge(N)
+
+
 @pytest.fixture
 def devnull_stdout(monkeypatch):
     # a real sink, unlike capsys, keeps no copy of the output in memory

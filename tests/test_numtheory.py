@@ -359,6 +359,34 @@ class TestLrEstimates:
         with pytest.raises(ResourceError):
             lr_euler_product(10**7, mem_budget=1024)
 
+    @pytest.mark.parametrize("P", [2, 3, 4, 1000, 10**6])
+    def test_euler_matches_full_mask_product(self, P):
+        f = np.nonzero(full_prime_mask(P)[3::4])[0].astype(np.float64)
+        f *= 4.0
+        f += 3.0
+        f *= f
+        np.divide(1.0, f, out=f)
+        np.subtract(1.0, f, out=f)
+        want = math.sqrt(0.5 / (float(np.prod(f)) if f.size else 1.0))
+        assert float.hex(lr_euler_product(P).value) == float.hex(want)
+
+
+def full_prime_mask(P):
+    """Eratosthenes over 0..P, one byte per integer: the oracle of the odd-only mask."""
+    mask = np.ones(P + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(P) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    return mask
+
+
+def test_odd_prime_mask_matches_full_mask():
+    for P in [*range(301), 10**6 - 1, 10**6, 10**6 + 1]:
+        got = numtheory._prime_mask(P)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, full_prime_mask(P)[1::2], err_msg=f"P = {P}")
+
 
 def diff_bound_full(bits, bits_nz):
     """diff_bound_check over whole-length int64 arrays: the test oracle."""
@@ -399,6 +427,11 @@ class TestDiffBound:
         assert got == diff_bound_full(sieve_s2_additive(N).bits, sieve_s2_nonzero(N).bits)
         assert got[0] is None
 
+    @pytest.mark.parametrize("N", [0, 1, 10, _SEG - 1, _SEG, _SEG + 1, 2 * _SEG + 5])
+    def test_segment_edges_match_full_arrays(self, N):
+        got = diff_bound_check(N)
+        assert got == diff_bound_full(sieve_s2_additive(N).bits, sieve_s2_nonzero(N).bits)
+
     @pytest.mark.parametrize("start, length", [
         (2 * _BLOCK + 100, 3000),  # inside a later block
         (2 * _BLOCK - 500, 1400),  # crossing into it: seen only through the carry
@@ -409,11 +442,38 @@ class TestDiffBound:
         N = 3 * _BLOCK + 5
         nz = sieve_s2_nonzero(N).bits.copy()
         nz[start:start + length] = 1
-        planted = SieveTable(N, nz, "planted")
-        monkeypatch.setattr(numtheory, "sieve_s2_nonzero", lambda n, **kw: planted)
+        real = numtheory._s2_segments
+
+        def planted(n, x0):
+            for lo, seg in real(n, x0):
+                if x0 == 1:
+                    seg[max(start - lo, 0):max(start + length - lo, 0)] = 1
+                yield lo, seg
+
+        monkeypatch.setattr(numtheory, "_s2_segments", planted)
         got = diff_bound_check(N)
         assert got == diff_bound_full(sieve_s2_additive(N).bits, nz)
         assert got[0] is not None and got[0] >= 2 * _BLOCK
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_plants_match_full_arrays(self, monkeypatch, seed):
+        # extra members in either table: B - B' goes negative as well as past
+        # the bound, from sparse and from dense runs of changes
+        rng = np.random.default_rng(seed)
+        N = int(rng.choice([5, 300, _BLOCK + 3, _SEG - 1, 2 * _SEG + 5]))
+        tables = {0: sieve_s2_additive(N).bits.copy(), 1: sieve_s2_nonzero(N).bits.copy()}
+        for _ in range(int(rng.integers(1, 6))):
+            bits = tables[int(rng.integers(2))]
+            lo = int(rng.integers(N + 1))
+            hi = lo + int(rng.integers(1, 4 * math.isqrt(N) + 3))
+            bits[lo:hi] |= rng.random(bits[lo:hi].size) < rng.choice([0.1, 1.0])
+
+        def served(n, x0):
+            for lo in range(0, n + 1, _SEG):
+                yield lo, tables[x0][lo:lo + _SEG]
+
+        monkeypatch.setattr(numtheory, "_s2_segments", served)
+        assert diff_bound_check(N) == diff_bound_full(tables[0], tables[1])
 
 
 def double_loop_check(table, bound):
