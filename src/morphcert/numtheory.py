@@ -3,9 +3,14 @@
 Two permanently independent s2 implementations act as mutual oracles: additive
 marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and Fermat's
 multiplicative criterion on prime valuations. Tables are numpy uint8 byte maps
-over 0..N; the count_s2_* functions and diff_bound_check read the additive
-segments directly and never hold an N-byte map. The Euler product sieves odd
-numbers only, half a byte per integer up to P.
+over 0..N. The count_s2_* functions never hold an N-byte map, nor the x <= y
+one: n is in s2 iff its odd part is, and an odd member is 4t + 1 with
+t = a^2 + b(b + 1), so they mark this odd quarter map a segment at a time and
+sum it over the halvings of each checkpoint. B'(N) is B(N) less 0 and the
+squares m^2 <= N whose m has no prime factor 1 (mod 4). The x <= y tables are
+their oracle. diff_bound_check reads the x <= y segments of both sieves side
+by side. The Euler product sieves odd numbers only, half a byte per integer
+up to P.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ _BLOCK = 1 << 16
 # The additive sieve marks [0, N] in segments of this length: long enough that
 # the per-row bounds are paid for by many points, short enough to stay in L2.
 _SEG = 4 * _BLOCK
+# Streamed counts answer checkpoint queries this many at a time, so their
+# transients stay small whatever the schedule.
+_QUERIES = 1 << 12
 # Charged once per call on top of the arrays: object headers, and the small
 # objects a caller holds meanwhile (a checkpoint list, one output block).
 _OVERHEAD = 1 << 18
@@ -52,15 +60,21 @@ def _pi_bound(x: int) -> int:
     return math.ceil(x / L * (1 + 1.2762 / L))
 
 
+def _marking_bytes(limit: int, rows: int, area: float) -> int:
+    # one segment; per row its int64 r, r^2, first point and next u, kept
+    # across segments, and 64 B of u-range arithmetic; per point of a batch,
+    # its v (int32 below 2^31, else int64) and int64 n, and numpy's 64 KiB
+    # buffer while it adds v to n. A batch holds at most _BLOCK points or a
+    # segment's, area * L (the annulus it covers) plus one per row, and then
+    # one row, at most the longest
+    L = min(_SEG, limit + 1)
+    points = min(_BLOCK, int(area * L) + rows) + math.isqrt(L) + 1
+    return L + 96 * rows + (16 if limit >= 2**31 else 12) * points + (1 << 16)
+
+
 def _segment_bytes(N: int) -> int:
-    # one segment; per row x <= sqrt(N/2), its int64 x^2 and next y, kept
-    # across segments, and 40 B of y-range arithmetic; two int64 arrays per
-    # marked point, of which a segment of length L holds at most pi/8 (L - 1)
-    # (an eighth of an annulus) plus the longest row plus one per row
-    L = min(_SEG, N + 1)
-    rows = math.isqrt(N // 2) + 1
-    points = L // 2 + math.isqrt(L) + 1 + rows
-    return L + 56 * rows + 16 * points
+    # the x <= y map: an eighth of an annulus, pi/8 < 1/2 points per byte
+    return _marking_bytes(N, math.isqrt(N // 2) + 1, 0.5)
 
 
 def _s2_charge(N: int) -> int:
@@ -69,7 +83,18 @@ def _s2_charge(N: int) -> int:
 
 
 def _s2_count_charge(N: int) -> int:
-    return _segment_bytes(N) + _OVERHEAD
+    # the odd quarter map over t <= (N - 1) / 4, a quarter annulus with
+    # pi/4 < 4/5 points per byte; beside a marked segment, its int32 running
+    # count and one batch of queries or members, 32 B each with numpy's buffers
+    T = max(N - 1, 0) >> 2
+    L, rows = min(_SEG, T + 1), math.isqrt(T) + 1
+    marking = max(_marking_bytes(T, rows, 0.8), 5 * L + 32 * rows + 32 * _QUERIES)
+    # then B - B': the odd-only prime mask to sqrt(N), the int64 primes
+    # p = 1 (mod 4), the mask of plain roots, their int64 running count, and
+    # one batch of roots (floor sqrt's float, int64 and boolean transients)
+    R = math.isqrt(N)
+    roots = (R + 1) // 2 + 8 * _pi_bound(R) + 9 * (R + 1) + 48 * _QUERIES
+    return marking + roots + _OVERHEAD
 
 
 def _spf_charge(N: int) -> int:
@@ -94,7 +119,7 @@ def _euler_charge(P: int) -> int:
 def _diff_charge(N: int) -> int:
     # both sieves' segments, one marking while the other keeps its buffer and
     # rows; then one block of change points, 48 B each if every byte changes
-    kept = min(_SEG, N + 1) + 16 * (math.isqrt(N // 2) + 1)
+    kept = min(_SEG, N + 1) + 32 * (math.isqrt(N // 2) + 1)
     return kept + max(_segment_bytes(N), kept + 48 * min(_BLOCK, N + 1)) + _OVERHEAD
 
 
@@ -143,39 +168,65 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return r
 
 
-def _s2_segments(N: int, x0: int):
-    """Yield (lo, seg) over [0, N] in segments of length _SEG, where seg[i] = 1
-    iff lo + i = x^2 + y^2 for some x0 <= x <= y.
+def _mark_segments(limit: int, s: int, r: np.ndarray, u: np.ndarray):
+    """Yield (lo, seg) over [0, limit] in segments of length _SEG, where seg[i] = 1
+    iff lo + i = r^2 + v(v + s) for a row r and some v >= its start u.
 
-    seg is a view of one reused buffer, valid until the next segment is asked for.
+    r and u are int64 arrays, one entry per row; the rows' first points
+    r^2 + u(u + s) must not decrease, and u is overwritten. seg is a view of one
+    reused buffer, valid until the next segment is asked for.
     """
-    # row x marks y in [max(x, ceil sqrt(lo - x^2)), floor sqrt(hi - 1 - x^2)],
-    # and the lower end is one past the upper end of the previous segment, so
-    # each row carries its next y from segment to segment
-    y_next = np.arange(x0, math.isqrt(N // 2) + 1, dtype=np.int64)
-    xx = y_next * y_next
-    buf = np.empty(min(_SEG, N + 1), dtype=np.uint8)
-    for lo in range(0, N + 1, _SEG):
-        hi = min(lo + _SEG, N + 1)
+    # row r marks v from u to the last v with r^2 + v(v + s) < hi, that is
+    # (2v + s)^2 <= 4 (hi - 1 - r^2) + s; the next segment starts one past it,
+    # so each row carries its next v from segment to segment
+    dt = np.int32 if limit < 2**31 else np.int64  # every point and offset fits
+    sq = r * r
+    first = sq + u * (u + s)
+    buf = np.empty(min(_SEG, limit + 1), dtype=np.uint8)
+    for lo in range(0, limit + 1, _SEG):
+        hi = min(lo + _SEG, limit + 1)
         seg = buf[:hi - lo]
         seg.fill(0)
-        k = max(math.isqrt((hi - 1) // 2) + 1 - x0, 0)  # the rows with 2 x^2 < hi
-        sq = xx[:k]
-        top = _isqrt(hi - 1 - sq)
-        top += 1
-        cnt = top - y_next[:k]
+        k = int(np.searchsorted(first, hi - 1, side="right"))  # rows with a point < hi
+        top = (_isqrt(4 * (hi - 1 - sq[:k]) + s) - s >> 1) + 1
+        cnt = top - u[:k]
         ends = np.cumsum(cnt)
-        # every row's points in one pass: y runs over consecutive integers
-        # from y_next within each row, and n - lo = y^2 + x^2 - lo
-        off = y_next[:k] - ends
-        off += cnt
-        y_next[:k] = top
-        y = np.arange(int(ends[-1]) if k else 0, dtype=np.int64)
-        y += np.repeat(off, cnt)
-        y *= y
-        y += np.repeat(sq - lo, cnt)
-        seg[y] = 1
+        off = (u[:k] - ends + cnt).astype(dt, copy=False)
+        base = sq[:k] - lo
+        u[:k] = top
+        # the points, rows of about _BLOCK points at a time: v runs over
+        # consecutive integers from u within each row, and n - lo is
+        # v(v + s) + r^2 - lo; int64 n, since numpy indexes fastest by intp
+        a = start = 0
+        while a < k:
+            b = max(int(np.searchsorted(ends, start + _BLOCK, side="right")), a + 1)
+            end = int(ends[b - 1])
+            v = np.arange(start, end, dtype=dt)
+            v += np.repeat(off[a:b], cnt[a:b])
+            v *= v + s if s else v
+            n = np.repeat(base[a:b], cnt[a:b])
+            n += v
+            del v
+            seg[n] = 1
+            del n
+            a, start = b, end
+        del top, cnt, ends, off, base
         yield lo, seg
+
+
+def _s2_segments(N: int, x0: int):
+    """_mark_segments of the x <= y map: seg[i] = 1 iff lo + i = x^2 + y^2 for
+    some x0 <= x <= y."""
+    x = np.arange(x0, math.isqrt(N // 2) + 1, dtype=np.int64)
+    return _mark_segments(N, 0, x, x.copy())
+
+
+def _quarter_segments(T: int):
+    """_mark_segments of the odd quarter map: seg[i] = 1 iff 4 (lo + i) + 1 is a
+    sum of two squares, for lo + i <= T."""
+    # an odd sum of two squares is (2a)^2 + (2b + 1)^2 = 4 (a^2 + b(b + 1)) + 1
+    a = np.arange(math.isqrt(T) + 1, dtype=np.int64)
+    return _mark_segments(T, 1, a, np.zeros_like(a))
 
 
 def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:
@@ -265,37 +316,46 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     return SieveTable(N, acc.view(np.uint8), KIND_S2_MULTIPLICATIVE)
 
 
-def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
-    """Member counts at the checkpoints from the byte map of [0, limit], given as
-    consecutive (lo, segment) pairs of at most _SEG bytes; stops after the largest."""
+def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSeries:
+    """Counts at the checkpoints in 0..limit: fill(todo, counts) writes each
+    sorted checkpoint's count over the zeros beside it."""
     if len(checkpoints) and not (0 <= min(checkpoints) and max(checkpoints) <= limit):
         bad = next(N for N in checkpoints if not 0 <= N <= limit)
         raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
     want = np.array(checkpoints, dtype=np.int64)
     order = np.argsort(want, kind="stable")
     todo = want[order]
-    counts = np.empty_like(todo)
-    i = total = 0
-    for lo, seg in segments:
-        if i == todo.size:
-            break
-        j = int(np.searchsorted(todo, lo + seg.size))
-        # members listed at 8 B each (a marked point each) cost about 500 gap counts
-        if j - i > seg.size >> 9:
-            pos = np.flatnonzero(seg)
-            counts[i:j] = total + np.searchsorted(pos, todo[i:j] - lo, side="right")
-            total += pos.size
-        else:
-            start = 0
-            for t, end in enumerate((todo[i:j] + 1 - lo).tolist(), i):
-                total += int(np.count_nonzero(seg[start:end]))
-                counts[t], start = total, end
-            total += int(np.count_nonzero(seg[start:]))
-        i = j
+    counts = np.zeros_like(todo)
+    fill(todo, counts)
     want[order] = counts  # the counts, in the caller's order
     del order, todo, counts
     # a list first: tuple() of an iterator grows by resizing, at twice the cost
     return CountSeries(tuple(list(zip(map(int, checkpoints), want.tolist()))))
+
+
+def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
+    """Member counts at the checkpoints from the byte map of [0, limit], given as
+    consecutive (lo, segment) pairs of at most _SEG bytes; stops after the largest."""
+    def fill(todo, counts):
+        i = total = 0
+        for lo, seg in segments:
+            if i == todo.size:
+                break
+            j = int(np.searchsorted(todo, lo + seg.size))
+            # members listed at 8 B each (a marked point each) cost about 500 gap counts
+            if j - i > seg.size >> 9:
+                pos = np.flatnonzero(seg)
+                counts[i:j] = total + np.searchsorted(pos, todo[i:j] - lo, side="right")
+                total += pos.size
+            else:
+                start = 0
+                for t, end in enumerate((todo[i:j] + 1 - lo).tolist(), i):
+                    total += int(np.count_nonzero(seg[start:end]))
+                    counts[t], start = total, end
+                total += int(np.count_nonzero(seg[start:]))
+            i = j
+
+    return _count_checkpoints(limit, checkpoints, fill)
 
 
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
@@ -304,24 +364,106 @@ def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
     return _count_segments(segments, table.limit, checkpoints)
 
 
-def _count_s2(N: int, x0: int, checkpoints: Sequence[int], kind: str,
+def _set_s2_counts(todo: np.ndarray, counts: np.ndarray) -> None:
+    """counts = B(N) at the sorted checkpoints N, from the odd quarter map."""
+    # B(N) = 1 + sum over j of Q(((N >> j) - 1) >> 2), Q(t) the marked t' <= t:
+    # 0 and the members 2^j (4t + 1) <= N. Each level of each segment adds its
+    # share as steps between consecutive checkpoints, and one cumsum adds them
+    top = int(todo[-1]) if todo.size else 0
+    segments = _quarter_segments((top - 1) >> 2) if top else ()
+    total = 0  # Q(lo - 1)
+    for lo, seg in segments:
+        # level j reads this segment for the N in [(4 lo + 1) << j, (4 hi + 1) << j)
+        runs, j = [], 0
+        while (4 * lo + 1) << j <= top:
+            i0, i1 = np.searchsorted(todo, [(4 * lo + 1) << j,
+                                            min((4 * (lo + seg.size) + 1) << j, top + 1)])
+            if i1 > i0:
+                # t - lo of the last N: ((N >> j) - 1) >> 2 - lo
+                last = (int(todo[i1 - 1]) - ((4 * lo + 1) << j)) >> (j + 2)
+                runs.append((j, int(i0), int(i1), last))
+            j += 1
+        # a level with more N than t to read steps at each member up to its
+        # last N; else many N read a running count of the segment, and few
+        # count the gaps between them
+        many = sum(i1 - i0 for _, i0, i1, last in runs if i1 - i0 <= 4 * (last + 1))
+        run = None
+        if many > seg.size >> 9:  # in place: cumsum to int32 would cast a copy first
+            run = seg.astype(np.int32)
+            np.cumsum(run, out=run)
+        for j, i0, i1, last in runs:
+            first, below = (4 * lo + 1) << j, 0  # below = Q(t of the last N) - Q(lo - 1)
+            if i1 - i0 > 4 * (last + 1):
+                for a in range(0, last + 1, _QUERIES):
+                    # the members 2^j (4t + 1), each a step at the first N >= it
+                    n = np.flatnonzero(seg[a:min(a + _QUERIES, last + 1)])
+                    below += n.size
+                    n = (4 * (n + lo + a) + 1) << j
+                    np.add.at(counts, np.searchsorted(todo, n), 1)
+            elif run is not None:
+                for c in range(i0, i1, _QUERIES):
+                    q = run[(todo[c:min(c + _QUERIES, i1)] - first) >> (j + 2)]  # t - lo
+                    counts[c:c + q.size] += q
+                    counts[c + 1:c + q.size] -= q[:-1]
+                    counts[c] -= below
+                    below = int(q[-1])
+            else:
+                start = 0
+                ends = ((todo[i0:i1] - first) >> (j + 2)) + 1
+                for c, end in enumerate(ends.tolist(), i0):
+                    step = int(np.count_nonzero(seg[start:end]))
+                    counts[c] += step
+                    below += step
+                    start = end
+            counts[i0] += total
+            if i1 < todo.size:
+                counts[i1] -= total + below
+        total += int(np.count_nonzero(seg))
+        del run
+    np.cumsum(counts, out=counts)
+    counts += 1
+
+
+def _subtract_plain_squares(todo: np.ndarray, counts: np.ndarray) -> None:
+    """counts -= B(N) - B'(N) at the sorted checkpoints N."""
+    # s2 less s2' is 0 and the squares m^2 whose m has no prime factor
+    # p = 1 (mod 4): m^2 is x^2 + y^2 with x, y > 0 iff m has one
+    R = math.isqrt(int(todo[-1])) if todo.size else 0
+    plain = np.ones(R + 1, dtype=bool)
+    plain[0] = False
+    for p in (np.flatnonzero(_prime_mask(R)[::2]) * 4 + 1).tolist():
+        plain[p::p] = False
+    plain = np.cumsum(plain, dtype=np.int64)
+    plain += 1
+    for c in range(0, todo.size, _QUERIES):
+        counts[c:c + _QUERIES] -= plain[_isqrt(todo[c:c + _QUERIES])]
+
+
+def _count_s2(N: int, checkpoints: Sequence[int], nonzero: bool, kind: str,
               mem_budget: int) -> CountSeries:
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_s2_count_charge(N), mem_budget, f"{kind} counts")
-    return _count_segments(_s2_segments(N, x0), N, checkpoints)
+
+    def fill(todo, counts):
+        _set_s2_counts(todo, counts)
+        if nonzero:
+            _subtract_plain_squares(todo, counts)
+
+    return _count_checkpoints(N, checkpoints, fill)
 
 
 def count_s2_additive(N: int, checkpoints: Sequence[int], *,
                       mem_budget: int = DEFAULT_MEM_BYTES) -> CountSeries:
-    """count_series(sieve_s2_additive(N), checkpoints), one segment at a time."""
-    return _count_s2(N, 0, checkpoints, KIND_S2_ADDITIVE, mem_budget)
+    """count_series(sieve_s2_additive(N), checkpoints), from the odd quarter map."""
+    return _count_s2(N, checkpoints, False, KIND_S2_ADDITIVE, mem_budget)
 
 
 def count_s2_nonzero(N: int, checkpoints: Sequence[int], *,
                      mem_budget: int = DEFAULT_MEM_BYTES) -> CountSeries:
-    """count_series(sieve_s2_nonzero(N), checkpoints), one segment at a time."""
-    return _count_s2(N, 1, checkpoints, KIND_S2_NONZERO, mem_budget)
+    """count_series(sieve_s2_nonzero(N), checkpoints): the s2 counts from the odd
+    quarter map, less 0 and the squares that are not x^2 + y^2 with x, y > 0."""
+    return _count_s2(N, checkpoints, True, KIND_S2_NONZERO, mem_budget)
 
 
 def lr_estimate_sieve(series: CountSeries) -> list[LrEstimate]:

@@ -112,6 +112,9 @@ def devnull_stdout(monkeypatch):
     # dense: every N up to 10^4, then 57 k more checkpoints to N
     ("seq count --kind s2nz --checkpoints geo:1:1.0001:{N}", lambda N: numtheory._s2_count_charge(N)
      + cli._ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
+    # geometric from 1000: the most halving levels per checkpoint
+    ("seq count --kind s2nz --checkpoints geo:1000:1.01:{N}", lambda N: numtheory._s2_count_charge(N)
+     + cli._ROW_BYTES * len(certify.geometric_checkpoints(1000, 1.01, N))),
     ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])

@@ -131,18 +131,53 @@ def test_segments_match_row_reference(x0, build):
             assert np.array_equal(bits, sieve_s2_multiplicative(N).bits), N
 
 
+@pytest.mark.parametrize("T", list(range(20)) + [
+    k * _SEG + d for k in (1, 2) for d in range(-2, 3)])
+def test_quarter_segments_match_table(T):
+    # the odd quarter map is every fourth byte of the x <= y table, from 1
+    segments = [(lo, seg.copy()) for lo, seg in numtheory._quarter_segments(T)]
+    assert [lo for lo, _ in segments] == list(range(0, T + 1, _SEG))
+    got = np.concatenate([seg for _, seg in segments])
+    assert np.array_equal(got, sieve_s2_additive(4 * T + 1).bits[1::4]), T
+
+
 @pytest.mark.parametrize("build, count", [
     (sieve_s2_additive, count_s2_additive), (sieve_s2_nonzero, count_s2_nonzero)])
 def test_streamed_counts_match_table(build, count):
     rng = np.random.default_rng(11)
     edges = [k * _SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-    for N in (0, 1, 64, _SEG - 1, _SEG, 3 * _SEG + 1):
+    # (N - 1) >> 2 one below, on and past the quarter map's segment edges
+    quarter_edges = [4 * k * _SEG + d for k in (1, 2) for d in range(-3, 6)]
+    for N in (0, 1, 64, _SEG - 1, _SEG, 3 * _SEG + 1, *quarter_edges):
         table = build(N)
-        inside = [n for n in edges if n <= N]
+        inside = [n for n in edges + quarter_edges if n <= N]
         for cps in ([], [0], [N], [N // 3, 0],  # some stop well before N
-                    inside + [N, 0, N // 3, N, N // 3, 0] + inside):
+                    inside + [N, 0, N // 3, N, N // 3, 0] + inside,
+                    list(range(min(N, 2**12) + 1))):  # every N <= 2^12
             cps = [int(n) for n in rng.permutation(cps)]
             assert count(N, cps) == count_series(table, cps), (N, cps)
+
+
+@pytest.mark.parametrize("build, count", [
+    (sieve_s2_additive, count_s2_additive), (sieve_s2_nonzero, count_s2_nonzero)])
+def test_streamed_counts_on_every_schedule_shape(build, count):
+    # few checkpoints per segment, many, and more than the t they read, also
+    # where a later segment reads the same level (every N < 2^13, then N)
+    N = 3 * 2**20
+    table = build(N)
+    for cps in (geometric_checkpoints(1024, 2.0, N), geometric_checkpoints(1000, 1.01, N),
+                geometric_checkpoints(1, 1.0001, N), list(range(N - 6000, N + 1)),
+                list(range(2**13)) + [N], list(range(0, N + 1, 5)),
+                [N] * 5000 + [N // 2] * 5000 + [7] * 3):
+        assert count(N, cps) == count_series(table, cps)
+
+
+def test_streamed_counts_match_multiplicative_sieve():
+    N = 5 * _SEG + 3
+    table = sieve_s2_multiplicative(N)
+    cps = (geometric_checkpoints(1, 1.001, N) + [4 * _SEG + d for d in range(-5, 6)]
+           + list(range(N - 300, N + 1)))
+    assert count_s2_additive(N, cps) == count_series(table, cps)
 
 
 def _reference_count_segments(segments, limit, checkpoints):
