@@ -161,7 +161,9 @@ class _FitPoints(Sequence):
     hashes, indexes and iterates like the tuple of int pairs it stands for,
     without a Python object per pair. The logdamped columns x = ln ln N and
     y = ln(N/count) are computed on first use and then kept, so a fit and its
-    gamma interval on the same points pay for them once.
+    gamma interval on the same points pay for them once. Each distinct log is
+    taken once: x is the log of the ln N column, and on int64 columns y is
+    that same ln N wherever count == 1.
     """
 
     def __init__(self, first: np.ndarray, counts: np.ndarray):
@@ -198,13 +200,17 @@ class _FitPoints(Sequence):
         # math.log (np.log differs in the last bit) of N/count as int division rounds
         # it, which float64 division matches below 2^53, where both are exact doubles
         n, first, counts = len(self), self.first, self.counts
+        ln_n = np.fromiter(map(math.log, _values(first)), float, n)
+        x = np.fromiter(map(math.log, _values(ln_n)), float, n)
         if all(c.dtype == np.int64 and -2**53 < c.min() and c.max() < 2**53
                for c in (first, counts)):
-            ratios = _values(first / counts)
+            # N / 1 is the double N, so y is ln N wherever count == 1
+            y, other = ln_n, counts != 1
+            ratios = (first / counts)[other]
+            y[other] = np.fromiter(map(math.log, _values(ratios)), float, len(ratios))
         else:
             ratios = map(operator.truediv, _values(first), _values(counts))
-        x = np.fromiter(map(math.log, map(math.log, _values(first))), float, n)
-        y = np.fromiter(map(math.log, ratios), float, n)
+            y = np.fromiter(map(math.log, ratios), float, n)
         return x, y
 
 
@@ -249,7 +255,11 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     if (ks[1:] <= ks[:-1]).any():
         raise DomainError("polyexp fit needs strictly increasing k")
     k = ks.astype(float)
-    y = np.fromiter(map(math.log, _values(points.counts)), float, len(points))
+    # one log per run of equal adjacent counts: an α = 1 word's counts repeat
+    counts = points.counts
+    bounds = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1], [True])))
+    logs = np.fromiter(map(math.log, _values(counts[bounds[:-1]])), float, len(bounds) - 1)
+    y = np.repeat(logs, np.diff(bounds))
     design = np.column_stack([np.ones_like(k), np.log(k), k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

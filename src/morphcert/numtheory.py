@@ -319,10 +319,12 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
 def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSeries:
     """Counts at the checkpoints in 0..limit: fill(todo, counts) writes each
     sorted checkpoint's count over the zeros beside it."""
-    if len(checkpoints) and not (0 <= min(checkpoints) and max(checkpoints) <= limit):
-        bad = next(N for N in checkpoints if not 0 <= N <= limit)
-        raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
-    want = np.array(checkpoints, dtype=np.int64)
+    want = np.array(checkpoints)  # int64 unless a float or a number past int64 is in it
+    if want.dtype != np.int64 or want.size and not (0 <= want.min() and want.max() <= limit):
+        bad = next((N for N in checkpoints if not 0 <= N <= limit), None)
+        if bad is not None:
+            raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
+        want = np.array(checkpoints, dtype=np.int64)
     order = np.argsort(want, kind="stable")
     todo = want[order]
     counts = np.zeros_like(todo)

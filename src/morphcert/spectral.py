@@ -273,7 +273,14 @@ def _fit_constant(
     vals = []
     lograte = math.log(rate)
     ks = range(period * 10, period * 20 + 1, period)
-    vectors = islice(count_vectors(M.entries, bytes([source])), ks.start, ks.stop, period)
+    # M^T costs bit_length + popcount products of d^3, then 20 steps of d^2
+    # reach k = 20T; walking by M takes 20T steps of d^2, and wins at T = 1
+    d = M.d
+    if (period.bit_length() + period.bit_count()) * d < 20 * (period - 1):
+        rows, stride = _mat_pow(M.entries, period, d), 1
+    else:
+        rows, stride = M.entries, period
+    vectors = islice(count_vectors(rows, bytes([source])), 10 * stride, 20 * stride + 1, stride)
     for k, c in zip(ks, vectors):
         cnt = sum(c) if targets is None else sum(c[t] for t in targets)
         if cnt <= 0:

@@ -888,3 +888,54 @@ def test_logdamped_xy_next_to_2_53():
     counts = [rng.randint(1, n) for n in first]
     _assert_logdamped_xy_bitwise(first, counts)
     _assert_logdamped_xy_bitwise(first[:300], counts[:300])  # all below 2^53
+
+
+def _ones_columns(seed):
+    """(name, first, counts) with counts of 1 everywhere, at random half of the
+    points, and only at the first or only at the last point."""
+    rng = random.Random(seed)
+    first = sorted(rng.sample(range(3, 2**53), 3000))
+    some = [rng.randint(2, n) for n in first]
+    half = set(rng.sample(range(len(first)), len(first) // 2))
+    yield "all", first, [1] * len(first)
+    yield "half", first, [1 if i in half else c for i, c in enumerate(some)]
+    yield "first", first, [1] + some[1:]
+    yield "last", first, some[:-1] + [1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_logdamped_xy_where_counts_are_1(seed):
+    # y reuses ln N wherever count == 1; x, y and the fit stay those of one
+    # math.log per point
+    for name, first, counts in _ones_columns(seed):
+        _assert_logdamped_xy_bitwise(first, counts)
+        points = list(zip(first, counts))
+        columns = certify._FitPoints(np.array(first), np.array(counts))
+        want = _ref_fit_logdamped(points)
+        got = fit_logdamped(columns)
+        assert _hex(got.__dict__.values()) == _hex(want.__dict__.values()), name
+        assert _hex(gamma_confidence(columns, got)) == _hex(_ref_gamma_confidence(points, want)), name
+
+
+def test_polyexp_logs_each_run_once():
+    # long runs, single-point runs, and counts out of order; the fit equals one
+    # that logs every count, on int64 and on object columns
+    rng = random.Random(7)
+    runs = [rng.choice((1, 1, 2, 500, 4000)) for _ in range(60)]
+    values = [rng.randint(1, 2**40) for _ in runs]
+    cases = {
+        "runs": [v for v, r in zip(values, runs) for _ in range(r)],
+        "singles": values,
+        "unsorted": [rng.choice((3, 3, 5, 2**31, 7)) for _ in range(5000)],
+        "constant": [1] * 9000,
+        "big": [2**70 + (i // 100) for i in range(2000)],
+    }
+    for name, counts in cases.items():
+        points = [(k, c) for k, c in enumerate(counts, 1)]
+        want = _outcome(_ref_fit_polyexp, points)
+        assert want[0] != "error", name
+        assert _outcome(fit_polyexp, points) == want, name
+        if name != "big":
+            columns = certify._FitPoints(np.arange(1, len(counts) + 1), np.array(counts))
+            assert columns.counts.dtype == np.int64
+            assert _outcome(fit_polyexp, columns) == want, name

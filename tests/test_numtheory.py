@@ -215,10 +215,15 @@ def test_count_segments_match_loop_reference(x0):
 
 
 def test_streamed_counts_reject_like_count_series():
+    # the first bad checkpoint is named, also past int64, where converting
+    # the checkpoints to an array overflows, and where int64 would truncate
     table = sieve_s2_additive(100)
-    for cps in ([101], [-1], [5, 101, 7]):
+    for cps, bad in (([101], 101), ([-1], -1), ([5, 101, 7], 101), ([2**63], 2**63),
+                     ([3, 2**64, -1, 100], 2**64), ([0, 100, -2**63 - 1, 2**65], -2**63 - 1),
+                     ([3, 100.5], 100.5), ([-0.5, 7], -0.5)):
         with pytest.raises(DomainError) as want:
             count_series(table, cps)
+        assert str(want.value) == f"checkpoint {bad} outside table range 0..100"
         for count in (count_s2_additive, count_s2_nonzero):
             with pytest.raises(DomainError) as got:
                 count(100, cps)

@@ -194,12 +194,7 @@ class TestGrowthClass:
         # a -> a plus the head of one cycle each of lengths 3, 5, 7, 11, so
         # T = 1155 and the fit reads k = 10T..20T; the 23 101 count vectors
         # up to 20T must not all be kept
-        rules = {"a": ["a"]}
-        for n in (3, 5, 7, 11):
-            cyc = [f"c{n}_{i}" for i in range(n)]
-            rules["a"].append(cyc[0])
-            rules.update({u: [cyc[(i + 1) % n]] for i, u in enumerate(cyc)})
-        m = make_morphism(list(rules), rules)
+        m = _cycle_morphism((3, 5, 7, 11))
         tracemalloc.start()
         try:
             g = growth_class(m, "a")
@@ -505,3 +500,76 @@ def test_path_class_matches_networkx_reference(sys):
     for cb in range(len(dag.components)):
         nodes = set(nx.ancestors(h, cb)) | {cb}
         assert spectral._path_class(dag, cb) == _ref_path_class(dag, nodes, cb)
+
+
+# --- the G fit, jumping by M^T, against the 20T-step walk ---------------------
+
+def _ref_fit_constant(M, source, targets, rate, degree, period):
+    """The fit read off count_vector_series up to k = 20T: the oracle."""
+    series = count_vector_series(M, source, 20 * period)
+    vals = []
+    for k in range(10 * period, 20 * period + 1, period):
+        c = series[k]
+        cnt = sum(c) if targets is None else sum(c[t] for t in targets)
+        if cnt > 0:
+            vals.append(math.log(cnt) - degree * math.log(k) - k * math.log(rate))
+    return math.exp(sum(vals) / len(vals)) if len(vals) >= 3 else None
+
+
+def _cycle_morphism(lengths):
+    """a -> a plus the head c{j}_0 of a cycle c{j}_0 -> c{j}_1 -> ... of each
+    length, j counting the cycles: T = lcm(lengths)."""
+    rules = {"a": ["a"]}
+    for j, n in enumerate(lengths):
+        cyc = [f"c{j}_{i}" for i in range(n)]
+        rules["a"].append(cyc[0])
+        rules.update({u: [cyc[(i + 1) % n]] for i, u in enumerate(cyc)})
+    return make_morphism(list(rules), rules)
+
+
+def _assert_fits_match_walk(m, letter_pairs):
+    M = incidence_matrix(m)
+    for a, b in letter_pairs:
+        g = growth_class(m, a)
+        src = m.alphabet.index(a)
+        assert g.G_estimate == _ref_fit_constant(M, src, None, g.alpha, g.l, g.T)
+        lg = letter_growth_class(m, a, b)
+        if not lg.eventually_zero:
+            want = _ref_fit_constant(M, src, (m.alphabet.index(b),), lg.beta, lg.m, lg.T)
+            assert lg.Gp_estimate == want
+
+
+@pytest.mark.parametrize("lengths, period, steps", [
+    ((2, 3, 5, 7), 210, 21),  # 20 steps by M^210 instead of 4200 by M
+    ((2, 1, 1, 1, 1, 1, 1), 2, 41),  # 9 letters: M^2 costs more than 40 steps by M
+])
+def test_fit_steps_by_m_to_the_t_when_cheaper(monkeypatch, lengths, period, steps):
+    m = _cycle_morphism(lengths)
+    walk, drawn = spectral.count_vectors, []
+
+    def counted(rows, w):
+        for c in walk(rows, w):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(spectral, "count_vectors", counted)
+    g = growth_class(m, "a")
+    assert g.T == period and len(drawn) == steps
+    monkeypatch.undo()
+    heads = [f"c{j}_0" for j in range(len(lengths))]
+    _assert_fits_match_walk(m, [("a", "a"), ("a", "c0_1"), ("c0_0", "c0_1")]
+                            + [("a", h) for h in heads])
+
+
+def test_period_1_fits_match_walk():
+    for sys in (thue_morse(), fibonacci(), column(), chain(), doubling()):
+        m = sys.morphism
+        _assert_fits_match_walk(m, [(a, b) for a in m.alphabet.letters for b in m.alphabet.letters])
+        assert growth_class(m, sys.start).T == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_morphisms())
+def test_fits_match_walk_on_small_morphisms(m):
+    letters = m.alphabet.letters
+    _assert_fits_match_walk(m, [(a, b) for a in letters for b in letters])
