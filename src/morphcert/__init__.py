@@ -6,16 +6,15 @@ from .errors import (
     NonConvergence,
     ParseError,
     ResourceError,
+    UnknownSource,
     UnknownSymbol,
     ValidationError,
 )
 from .words import (
     Alphabet,
-    CheckpointSeries,
     MorphicSystem,
     Morphism,
     Word,
-    checkpoints,
     count_in_prefix,
     fixed_point_stream,
     is_prolongable,
@@ -45,22 +44,22 @@ from .numtheory import (
     count_s2_nonzero,
     count_series,
     diff_bound_check,
-    factorize,
     lr_estimate_sieve,
     lr_euler_product,
     multiplicativity_check,
     sieve_s2_additive,
     sieve_s2_multiplicative,
     sieve_s2_nonzero,
-    spf_sieve,
 )
 from .certify import (
     CaseVerdict,
     CertificateReport,
     CertifyConfig,
+    Decision,
     DensityProfile,
     PolyExpProfile,
     certify_nonmorphic,
+    decide,
     fit_logdamped,
     fit_polyexp,
     gamma_confidence,

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numtheory, spectral, words
-from .errors import DomainError
+from .errors import DomainError, UnknownSource
 
 CASE_BETA_LT_ALPHA = "BETA_LT_ALPHA"
 CASE_UNIT_ALPHA = "UNIT_ALPHA"
@@ -430,41 +431,46 @@ _NOTES = {
 }
 
 
-def resolve_source(source: str) -> tuple[str | None, Path | None]:
-    """(sieve key, None) or (None, morphism file) for a source kind.
+# sieve kind -> (key, table function, count function): named, and looked up in
+# numtheory per call, so a replaced function is the one that runs
+_SIEVES = {"s2": ("s2", "sieve_s2_additive", "count_s2_additive"),
+           "s2nz": ("s2_nonzero", "sieve_s2_nonzero", "count_s2_nonzero")}
+_SIEVES["s2_nonzero"] = _SIEVES["s2nz"]
 
-    The kinds are s2, s2nz (also spelled s2_nonzero) and morphic:<file>; the
-    sieve keys are "s2" and "s2_nonzero". Any other kind raises DomainError.
+
+class Source(NamedTuple):
+    """A resolved source kind: a sieve key, or a parsed morphism file and the
+    symbol it counts. `name` is the sieve key, or the morphic source as given."""
+
+    name: str
+    system: words.MorphicSystem | None = None
+    symbol: str | None = None
+
+    def sieve_table(self, limit: int, mem_budget: int) -> numtheory.SieveTable:
+        """The sieve's membership table over 0..limit."""
+        return getattr(numtheory, _SIEVES[self.name][1])(limit, mem_budget=mem_budget)
+
+    def sieve_counts(self, limit: int, checkpoints: Sequence[int],
+                     mem_budget: int) -> numtheory.CountSeries:
+        """The sieve's counts at checkpoints in 0..limit, without the table."""
+        return getattr(numtheory, _SIEVES[self.name][2])(limit, checkpoints, mem_budget=mem_budget)
+
+
+def resolve_source(source: str, symbol: str | None = None) -> Source:
+    """The one reading of a source kind: s2, s2nz (also s2_nonzero) or morphic:<file>.
+
+    A morphism file is parsed here, once, and the symbol defaults to the coding
+    of its start letter. An unknown kind raises UnknownSource, and a symbol on a
+    sieve source DomainError.
     """
-    if source == "s2":
-        return "s2", None
-    if source in ("s2nz", "s2_nonzero"):
-        return "s2_nonzero", None
     if source.startswith("morphic:"):
-        return None, Path(source[len("morphic:"):])
-    raise DomainError(f"unknown source {source!r}")
-
-
-def sieve_table(key: str, limit: int, mem_budget: int) -> numtheory.SieveTable:
-    """The membership table of a resolved sieve key over 0..limit."""
-    # looked up per call, so a replaced numtheory function is the one that runs
-    build = numtheory.sieve_s2_additive if key == "s2" else numtheory.sieve_s2_nonzero
-    return build(limit, mem_budget=mem_budget)
-
-
-def sieve_counts(key: str, limit: int, checkpoints: Sequence[int],
-                 mem_budget: int) -> numtheory.CountSeries:
-    """Counts of a resolved sieve key at checkpoints in 0..limit, without the table."""
-    count = numtheory.count_s2_additive if key == "s2" else numtheory.count_s2_nonzero
-    return count(limit, checkpoints, mem_budget=mem_budget)
-
-
-def _sieve_counts(key: str, config: CertifyConfig):
-    if config.symbol is not None:
-        raise DomainError(f"a symbol applies only to morphic sources, not to {key!r}")
-    cps = geometric_checkpoints(N0, RATIO, config.max_n)
-    entries = sieve_counts(key, config.max_n, cps, config.mem_budget).entries
-    return np.array(cps, dtype=np.int64), np.array([c for _, c in entries], dtype=np.int64)
+        system = words.parse_morphism_file(Path(source[len("morphic:"):]))
+        return Source(source, system, symbol if symbol is not None else system.coding[system.start])
+    if source not in _SIEVES:
+        raise UnknownSource(f"unknown source {source!r}: not s2, s2nz or morphic:<file>")
+    if symbol is not None:
+        raise DomainError(f"a symbol applies only to morphic sources, not to {source!r}")
+    return Source(_SIEVES[source][0])
 
 
 # The float shadow errs by far less than a third, so a shadow below _WIDE means
@@ -473,7 +479,19 @@ _INT64_SAFE = 2**62
 _WIDE = 1.5 * _INT64_SAFE
 
 
-def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
+def _level_charge(d: int, t: int, k: int, take: int, exact: bool) -> int:
+    """Bytes _level_counts holds once it forms a block of `take` levels beside k:
+    the old and new level matrices, the product and the length column; then the
+    level matrix, the lengths past it, its target rows and the two returned
+    columns. A Python int in an object column is charged 40 bytes."""
+    both = k + take
+    forming = d * (k + take + both) + k
+    returned = (d + t + 3) * both
+    return (8 if exact else 48) * max(forming, returned) + numtheory._OVERHEAD
+
+
+def _level_counts(rows, start: int, targets: Sequence[int], max_n: int,
+                  mem_budget: int = numtheory.DEFAULT_MEM_BYTES):
     """N_k = |phi^k(b)| and the count of the target letters in phi^k(b), as two
     arrays over every level k with N_k <= max_n.
 
@@ -487,7 +505,9 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
     P V is; only if it reaches _WIDE are the columns checked one by one, and
     the first that may not be exact, and all after it, lie past max_n, since
     N_k grows with k. Only when max_n is itself not below 2^62 are the counts
-    Python ints.
+    Python ints. Each block is charged against mem_budget before it is formed,
+    so a word with a level at every N (alpha = 1) raises ResourceError where
+    its columns would outgrow the budget.
     """
     exact = max_n < _INT64_SAFE
     m = np.array(rows, dtype=np.int64 if exact else object)
@@ -510,78 +530,79 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int):
                     lengths = lengths[:wide.argmax()]
             take = int(np.searchsorted(lengths, max_n, side="right"))
         if take:
+            charge = _level_charge(len(rows), len(targets), k, take, exact)
+            numtheory._check_budget(charge, mem_budget, "level counts")
             v = np.concatenate((v, p @ v[:, :take]), axis=1)
         if take < k:
             break
     return v.sum(axis=0), v[list(targets)].sum(axis=0)
 
 
-def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
-    """Full pipeline: counts at checkpoints, both fits, margin selection, verdict."""
-    config = config or CertifyConfig()
-    key, path = resolve_source(source)
-    morphic = path is not None
-    if morphic:
-        system = words.parse_morphism_file(path)
-        symbol = config.symbol if config.symbol is not None else system.coding[system.start]
-        rows = spectral.incidence_matrix(system.morphism).entries
-        ns, counts = _level_counts(rows, system.start, system.letters_for(symbol), config.max_n)
-        sequence_id = source
-    else:
-        ns, counts = _sieve_counts(key, config)
-        sequence_id = key
-    checkpoints = _FitPoints(ns, counts)
+class Decision(NamedTuple):
+    """What the certifier's rule concludes from a source's checkpoint counts."""
 
-    # checkpoint index k: morphic sources carry the true iteration number
-    # (Cor.-style counts live along it); sieve checkpoints have no intrinsic
-    # iteration index, so the included points are indexed 1, 2, ... — on a
-    # geometric schedule ln N is affine in that index, which is the role k
-    # plays along morphic checkpoints, and the offset is a fixed convention.
-    # N rises strictly along the checkpoints and the counts never fall (each
-    # counts a prefix of the next), so the usable points (N >= MIN_FIT_N,
-    # count >= 1, not level 0 of a morphic source) are a suffix
-    start = max(int(np.searchsorted(ns, MIN_FIT_N)), int(np.searchsorted(counts, 1)), int(morphic))
-    ld_points = _FitPoints(ns[start:], counts[start:])  # views of the checkpoint columns
-    pe_points = _FitPoints(np.arange(len(ld_points)) + (start if morphic else 1), ld_points.counts)
+    logdamped: DensityProfile | None
+    gamma_ci: tuple[float, float] | None
+    polyexp: PolyExpProfile | None
+    preferred_model: str | None
+    conclusion: str
 
-    logdamped = fit_logdamped(ld_points) if len(ld_points) >= MIN_FIT_POINTS else None
-    polyexp = fit_polyexp(pe_points) if len(pe_points) >= MIN_FIT_POINTS else None
-    gamma_ci = gamma_confidence(ld_points, logdamped) if logdamped is not None else None
+
+def decide(ns: np.ndarray, counts: np.ndarray, levels: np.ndarray | None = None) -> Decision:
+    """The certifier's rule on (N, count) columns; it does no I/O.
+
+    N rises strictly and the counts never fall, so the usable points, those with
+    N >= MIN_FIT_N, count >= 1 and level >= 1, are a suffix. levels is the rising
+    polyexp index k of each checkpoint: a morphic source's iteration number. A
+    sieve has none, so without levels the usable points are indexed 1, 2, ...:
+    on a geometric schedule ln N is affine in that index, as it is in k along
+    morphic checkpoints, and the offset is a fixed convention.
+    """
+    if len(counts) != len(ns) or levels is not None and len(levels) != len(ns):
+        raise DomainError("decide needs ns, counts and levels of one length")
+    start = max(int(np.searchsorted(ns, MIN_FIT_N)), int(np.searchsorted(counts, 1)),
+                0 if levels is None else int(np.searchsorted(levels, 1)))
+    ld_points = _FitPoints(ns[start:], counts[start:])  # views of the columns
+    ks = np.arange(1, len(ld_points) + 1) if levels is None else levels[start:]
+    logdamped = polyexp = gamma_ci = None
+    if len(ld_points) >= MIN_FIT_POINTS:
+        logdamped = fit_logdamped(ld_points)
+        polyexp = fit_polyexp(_FitPoints(ks, ld_points.counts))
+        gamma_ci = gamma_confidence(ld_points, logdamped)
     preferred = select_model(logdamped, polyexp)
-
-    verdict = None
-    if (
-        morphic
-        and logdamped is not None
-        # bounded away from 0 and 1: a fitted gamma within float noise of the
-        # endpoints means the data is effectively undamped (or fully damped)
-        # and the case analysis would be vacuous
-        and CASE_RTOL < logdamped.gamma < 1.0 - CASE_RTOL
-    ):
-        # the growth classes feed only the verdict, so only it computes them
-        verdict = theorem1_verdict(*spectral._verdict_classes(system, symbol), logdamped.gamma)
-
-    if (
-        preferred == "logdamped"
-        and gamma_ci is not None
-        and 0.0 < gamma_ci[0]
-        and gamma_ci[1] < 1.0
-    ):
+    if preferred == "logdamped" and 0.0 < gamma_ci[0] and gamma_ci[1] < 1.0:
         conclusion = CONCLUSION_NON_MORPHIC
     elif preferred == "polyexp":
         conclusion = CONCLUSION_MORPHIC
     else:
         conclusion = CONCLUSION_INCONCLUSIVE
+    return Decision(logdamped, gamma_ci, polyexp, preferred, conclusion)
 
-    return CertificateReport(
-        sequence_id=sequence_id,
-        checkpoints=checkpoints,
-        logdamped=logdamped,
-        gamma_ci=gamma_ci,
-        polyexp=polyexp,
-        preferred_model=preferred,
-        verdict=verdict,
-        conclusion=conclusion,
-        notes=_NOTES[conclusion],
-        config=config,
-    )
+
+def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> CertificateReport:
+    """Full pipeline: checkpoint counts from the source, the rule's decision on
+    them, and for a morphic source the case verdict."""
+    config = config or CertifyConfig()
+    src = resolve_source(source, config.symbol)
+    if src.system is None:  # a sieve counts on the grid N0 * RATIO^j
+        cps = geometric_checkpoints(N0, RATIO, config.max_n)
+        entries = src.sieve_counts(config.max_n, cps, config.mem_budget).entries
+        ns, counts = np.array(cps, dtype=np.int64), np.array([c for _, c in entries], dtype=np.int64)
+        levels = None
+    else:  # a morphic word at every N_k, with k as its level
+        rows = spectral.incidence_matrix(src.system.morphism).entries
+        targets = src.system.letters_for(src.symbol)
+        ns, counts = _level_counts(rows, src.system.start, targets, config.max_n, config.mem_budget)
+        levels = np.arange(len(ns))
+    decision = decide(ns, counts, levels)
+    gamma = decision.logdamped.gamma if decision.logdamped is not None else math.nan
+    verdict = None
+    # bounded away from 0 and 1: a fitted gamma within float noise of the
+    # endpoints means the data is effectively undamped (or fully damped) and
+    # the case analysis would be vacuous
+    if src.system is not None and CASE_RTOL < gamma < 1.0 - CASE_RTOL:
+        # the growth classes feed only the verdict, so only it computes them
+        verdict = theorem1_verdict(*spectral._verdict_classes(src.system, src.symbol), gamma)
+    return CertificateReport(sequence_id=src.name, checkpoints=_FitPoints(ns, counts),
+                             verdict=verdict, notes=_NOTES[decision.conclusion], config=config,
+                             **decision._asdict())

@@ -22,6 +22,7 @@ from .errors import (
     NonConvergence,
     ParseError,
     ResourceError,
+    UnknownSource,
     UnknownSymbol,
     ValidationError,
 )
@@ -102,20 +103,13 @@ def cmd_morphism_iterate(args) -> int:
     return EXIT_OK
 
 
-def _resolve(kind: str, flag: str) -> tuple[str | None, Path | None]:
-    try:
-        return certify.resolve_source(kind)
-    except DomainError:
-        raise _UsageError(f"unknown {flag} {kind!r}") from None
-
-
 def cmd_seq_gen(args) -> int:
     budget = _mem_budget()
-    key, path = _resolve(args.kind, "--kind")
-    if key is not None:
-        bits = certify.sieve_table(key, args.N, budget).bits
+    source = certify.resolve_source(args.kind)
+    system = source.system
+    if system is None:
+        bits = source.sieve_table(args.N, budget).bits
     else:
-        system = words.parse_morphism_file(path)
         if args.format == "bits" and any(s not in ("0", "1") for s in system.symbols()):
             raise ValidationError("--format bits needs a coding onto symbols 0 and 1")
         symbols = words.fixed_point_stream(system, args.N)
@@ -155,19 +149,14 @@ def cmd_seq_count(args) -> int:
     budget = _mem_budget()
     n0, ratio, max_n = _parse_schedule(args.checkpoints)
     size = certify._schedule_size(n0, ratio, max_n)  # charged before the schedule is built
-    key, path = _resolve(args.kind, "--kind")
-    if key is not None:
-        if args.symbol is not None:
-            raise DomainError("--symbol applies only to morphic kinds")
-        if _ROW_BYTES * size > budget:
-            raise ResourceError(f"{size} checkpoints need about {_ROW_BYTES * size} bytes, budget is {budget}")
+    source = certify.resolve_source(args.kind, args.symbol)
+    if source.system is None and _ROW_BYTES * size > budget:
+        raise ResourceError(f"{size} checkpoints need about {_ROW_BYTES * size} bytes, budget is {budget}")
     cps = certify.geometric_checkpoints(n0, ratio, max_n)
-    if key is not None:
-        entries = certify.sieve_counts(key, max_n, cps, budget - _ROW_BYTES * len(cps)).entries
+    if source.system is None:
+        entries = source.sieve_counts(max_n, cps, budget - _ROW_BYTES * len(cps)).entries
     else:
-        system = words.parse_morphism_file(path)
-        symbol = args.symbol if args.symbol is not None else system.coding[system.start]
-        entries = words.prefix_count_series(system, symbol, cps)
+        entries = words.prefix_count_series(source.system, source.symbol, cps)
     sys.stdout.write("N,B\n")
     for i in range(0, len(entries), 4096):  # rows joined per write
         sys.stdout.write("".join(f"{n},{b}\n" for n, b in entries[i:i + 4096]))
@@ -230,7 +219,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _resolve(args.source, "--source")
     config = certify.CertifyConfig(
         max_n=args.N,
         symbol=args.symbol,
@@ -341,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, UnknownSource) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValidationError, UnknownSymbol, DomainError) as exc:

@@ -21,6 +21,10 @@ class DomainError(MorphcertError):
     """Arguments outside an operation's stated domain."""
 
 
+class UnknownSource(DomainError):
+    """A source kind other than s2, s2nz, s2_nonzero or morphic:<file>."""
+
+
 class NonConvergence(MorphcertError):
     """Iterative numeric procedure failed to reach tolerance."""
 

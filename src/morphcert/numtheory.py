@@ -97,12 +97,6 @@ def _s2_count_charge(N: int) -> int:
     return marking + roots + _OVERHEAD
 
 
-def _spf_charge(N: int) -> int:
-    # int32 table, plus the larger of the boolean mask of the p = 2 marking
-    # slice and one block of the prime fix-up (int32 index + mask)
-    return 4 * (N + 1) + max((N + 1) // 2, 5 * min(_BLOCK, N + 1)) + _OVERHEAD
-
-
 def _multiplicative_charge(N: int) -> int:
     # the int8 accumulator, which becomes the byte map in place, the int64
     # primes p = 3 (mod 4) up to sqrt(N), and the final pass's int64 n and
@@ -248,41 +242,6 @@ def sieve_s2_additive(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTa
 def sieve_s2_nonzero(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
     """bit(n) = 1 iff n = x^2 + y^2 for some 1 <= x <= y."""
     return _sieve_s2(N, 1, KIND_S2_NONZERO, mem_budget)
-
-
-def spf_sieve(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> np.ndarray:
-    """Smallest-prime-factor table for 0..N (spf[0] = 0, spf[1] = 1)."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
-    _check_budget(_spf_charge(N), mem_budget, "spf sieve")
-    spf = np.zeros(N + 1, dtype=np.int32)
-    if N >= 1:
-        spf[1] = 1
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p:: p]
-            sl[sl == 0] = p
-    # untouched entries are primes above sqrt(N) (and index 0): spf[n] = n
-    for lo in range(0, N + 1, _BLOCK):
-        blk = spf[lo:lo + _BLOCK]
-        np.copyto(blk, np.arange(lo, lo + blk.size, dtype=np.int32), where=blk == 0)
-    return spf
-
-
-def factorize(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
-    """Prime factorization of n using a precomputed SPF table."""
-    if n < 1 or n >= len(spf):
-        raise DomainError(f"n = {n} outside the SPF table range")
-    out: list[tuple[int, int]] = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:

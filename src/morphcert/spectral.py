@@ -75,12 +75,6 @@ def matrix_power_count(M: IncidenceMatrix, k: int, source: int, target: int) -> 
     return power[target][source]
 
 
-def count_vector_series(M: IncidenceMatrix, source: int, kmax: int) -> list[tuple[int, ...]]:
-    """c_k with c_k[t] = |phi^k(a_source)|_{a_t} for k = 0..kmax (exact)."""
-    vectors = count_vectors(M.entries, bytes([source]))
-    return [tuple(c) for c in islice(vectors, kmax + 1)]
-
-
 @dataclass(frozen=True)
 class Component:
     letters: tuple[int, ...]

@@ -180,16 +180,6 @@ class MorphicSystem:
         return hits
 
 
-@dataclass(frozen=True)
-class CheckpointSeries:
-    """Exact lengths N_k = |phi^k(b)| as (k, N_k) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def lengths(self) -> list[int]:
-        return [n for _, n in self.entries]
-
-
 def count_matrix(m: Morphism) -> tuple[tuple[int, ...], ...]:
     """rows[t][s] = occurrences of letter t in the image of letter s."""
     return tuple(tuple(img.count(t) for img in m.images) for t in range(m.d))
@@ -238,16 +228,6 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     for _ in range(k):
         cur = _apply(m.images, cur)
     return cur
-
-
-def checkpoints(sys: MorphicSystem, kmax: int) -> CheckpointSeries:
-    """Exact N_k = |phi^k(start)| for k = 0..kmax via big-integer count vectors."""
-    if kmax < 0:
-        raise DomainError("kmax must be >= 0")
-    vectors = count_vectors(count_matrix(sys.morphism), bytes([sys.start]))
-    return CheckpointSeries(tuple(
-        (k, sum(counts)) for k, counts in enumerate(islice(vectors, kmax + 1))
-    ))
 
 
 def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:

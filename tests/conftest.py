@@ -1,10 +1,13 @@
-"""Shared morphism suite + repo paths for the test modules."""
+"""Shared morphism suite, N_k oracle and repo paths for the test modules."""
 
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from morphcert.words import Alphabet, Morphism, MorphicSystem
+from morphcert.errors import DomainError
+from morphcert.words import Alphabet, Morphism, MorphicSystem, count_matrix, count_vectors
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MORPHISM_DIR = REPO_ROOT / "morphisms"
@@ -19,6 +22,27 @@ def make_system(letters, rules, start, coding=None) -> MorphicSystem:
 
 def make_morphism(letters, rules) -> Morphism:
     return Morphism.from_rules(Alphabet(tuple(letters)), rules)
+
+
+@dataclass(frozen=True)
+class CheckpointSeries:
+    """Exact lengths N_k = |phi^k(b)| as (k, N_k) pairs."""
+
+    entries: tuple[tuple[int, int], ...]
+
+    def lengths(self) -> list[int]:
+        return [n for _, n in self.entries]
+
+
+def checkpoints(sys: MorphicSystem, kmax: int) -> CheckpointSeries:
+    """Exact N_k = |phi^k(start)| for k = 0..kmax via big-integer count vectors:
+    the N_k oracle of the word and level-count tests."""
+    if kmax < 0:
+        raise DomainError("kmax must be >= 0")
+    vectors = count_vectors(count_matrix(sys.morphism), bytes([sys.start]))
+    return CheckpointSeries(tuple(
+        (k, sum(counts)) for k, counts in enumerate(islice(vectors, kmax + 1))
+    ))
 
 
 def thue_morse() -> MorphicSystem:

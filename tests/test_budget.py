@@ -14,9 +14,11 @@ import tracemalloc
 import pytest
 import scipy.special  # noqa: F401  imported lazily by gamma_confidence; warm it here
 
-from morphcert import certify, cli, numtheory
+from morphcert import certify, cli, numtheory, words
 from morphcert.cli import main
 from morphcert.errors import ResourceError
+
+from conftest import MORPHISM_DIR
 
 MIB = 2**20
 
@@ -39,7 +41,6 @@ def _budgeted(fn):
 CASES = {
     "sieve_s2_additive": (_budgeted(numtheory.sieve_s2_additive), numtheory._s2_charge, 2 * 10**6),
     "sieve_s2_nonzero": (_budgeted(numtheory.sieve_s2_nonzero), numtheory._s2_charge, 2 * 10**6),
-    "spf_sieve": (_budgeted(numtheory.spf_sieve), numtheory._spf_charge, 10**6),
     "sieve_s2_multiplicative": (
         _budgeted(numtheory.sieve_s2_multiplicative), numtheory._multiplicative_charge, 10**6),
     "lr_euler_product": (_budgeted(numtheory.lr_euler_product), numtheory._euler_charge, 10**6),
@@ -94,6 +95,40 @@ def test_diff_bound_streams_within_8_mib():
         tracemalloc.stop()
     assert first is None
     assert peak <= numtheory._diff_charge(N)
+
+
+@pytest.mark.parametrize("name, max_n", [("column", 2**20), ("fibonacci", 2**60)])
+def test_level_counts_peak_within_charge(name, max_n, monkeypatch):
+    # alpha = 1 (a level at every N, 48 MiB of columns) and alpha > 1
+    system = words.parse_morphism_file(MORPHISM_DIR / f"{name}.morph")
+    rows = words.count_matrix(system.morphism)
+    targets = system.letters_for(system.coding[system.start])
+
+    def run(budget):
+        return certify._level_counts(rows, system.start, targets, max_n, budget)
+
+    charges = []
+    check = numtheory._check_budget
+    monkeypatch.setattr(numtheory, "_check_budget",
+                        lambda need, *rest: charges.append(need) or check(need, *rest))
+    run(numtheory.DEFAULT_MEM_BYTES)  # warm, and the charge of each block
+    charge = max(charges)
+    assert traced_peak(run, charge) <= charge
+    with pytest.raises(ResourceError):
+        run(charge - 1)
+
+
+def test_dense_level_grid_refused_within_budget():
+    # column has a level at every N: 10^9 of them need gigabytes of int64 columns
+    config = certify.CertifyConfig(max_n=10**9, mem_budget=64 * MIB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            certify.certify_nonmorphic(f"morphic:{MORPHISM_DIR / 'column.morph'}", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * MIB
 
 
 @pytest.fixture

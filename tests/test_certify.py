@@ -30,9 +30,9 @@ from morphcert.certify import (
 )
 from morphcert.errors import DomainError
 from morphcert.spectral import GrowthClass, LetterGrowthClass
-from morphcert.words import checkpoints, count_matrix, count_vectors
+from morphcert.words import count_matrix, count_vectors
 
-from conftest import MORPHISM_DIR, chain, column, make_system
+from conftest import MORPHISM_DIR, chain, checkpoints, column, make_system
 
 
 def logdamped_counts(C, gamma, ns, *, rounded=False):
@@ -481,6 +481,73 @@ class TestUsableSuffix:
         report = certify_nonmorphic(src, CertifyConfig(max_n=2**12, symbol="c"))
         assert [c for _, c in report.checkpoints[:3]] == [0, 0, 1]
         _assert_fit_points_as_masked(report, True)
+
+
+def _assert_fits(decision, n_points):
+    if n_points >= certify.MIN_FIT_POINTS:
+        assert decision.logdamped.n_points == n_points
+    else:
+        assert decision == (None, None, None, None, CONCLUSION_INCONCLUSIVE)
+
+
+def _powers_columns():
+    # N_k = 4096 * 2^k: every checkpoint is past MIN_FIT_N
+    levels = np.arange(12)
+    ns = 4096 << levels
+    return ns, ns // 3 + 1, levels
+
+
+class TestDecideOnColumns:
+    @pytest.mark.parametrize("source", [
+        "s2", "s2nz", "chain", "column", "doubling", "fibonacci", "thue_morse"])
+    def test_golden_reports(self, source):
+        if source not in ("s2", "s2nz"):
+            source = f"morphic:{MORPHISM_DIR / f'{source}.morph'}"
+        report = certify_nonmorphic(source, CertifyConfig(max_n=2**20))
+        ns, counts = report.checkpoints.first, report.checkpoints.counts
+        levels = np.arange(len(ns)) if source.startswith("morphic:") else None
+        got = certify.decide(ns, counts, levels)
+        # repr tells every float apart bit for bit
+        assert repr(tuple(got)) == repr(tuple(getattr(report, f) for f in certify.Decision._fields))
+
+    @pytest.mark.parametrize("min_fit_n", [4090, 4096, 4097, 4098])
+    def test_min_fit_n_boundary(self, min_fit_n, monkeypatch):
+        # column's N_k = k + 1 to 4104, counting b: 4105 - min_fit_n points
+        # from min_fit_n on, on both sides of MIN_FIT_POINTS
+        monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
+        levels = np.arange(4104)
+        _assert_fits(certify.decide(levels + 1, levels, levels), 4105 - min_fit_n)
+
+    def test_level_0_is_not_fitted(self):
+        ns, counts, levels = _powers_columns()
+        _assert_fits(certify.decide(ns, counts, levels), 11)
+        _assert_fits(certify.decide(ns, counts), 12)
+        _assert_fits(certify.decide(ns, counts, levels + 1), 12)
+
+    @pytest.mark.parametrize("min_fit_n", [1, 2, 4, 5, 8])
+    def test_leading_zero_counts(self, min_fit_n, monkeypatch):
+        # c first occurs in chain's phi^2(a) = abbc, so the counts start 0, 0, 1
+        monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
+        sys = chain()
+        walk = _walk_counts(count_matrix(sys.morphism), sys.start, sys.letters_for("c"), 2**12)
+        ns, counts = map(np.array, walk)
+        assert counts[:3].tolist() == [0, 0, 1]
+        want = sum(n >= min_fit_n and c >= 1 and k >= 1 for k, (n, c) in enumerate(zip(*walk)))
+        _assert_fits(certify.decide(ns, counts, np.arange(len(ns))), want)
+
+    def test_rejects_columns_of_different_lengths(self):
+        ns, counts, levels = _powers_columns()
+        for args in ((ns, counts[1:]), (ns, counts, levels[1:])):
+            with pytest.raises(DomainError):
+                certify.decide(*args)
+
+    def test_polyexp_index(self):
+        # the usable suffix is indexed by its levels, or by 1, 2, ... without them
+        ns, counts, levels = _powers_columns()
+        assert certify.decide(ns, counts, levels + 1) == certify.decide(ns, counts)
+        want = fit_polyexp(list(zip(range(1, 12), counts[1:].tolist())))
+        assert certify.decide(ns, counts, levels).polyexp == want
+        assert certify.decide(ns, counts, levels + 5).polyexp != want
 
 
 class TestReportJson:

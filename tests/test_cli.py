@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from morphcert import words
+from morphcert import certify, words
 from morphcert.cli import main
 from morphcert.numtheory import sieve_s2_additive, sieve_s2_nonzero
 
@@ -422,6 +422,24 @@ class TestExitCodes:
     def test_resource_errors_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("MORPH_MEM_MB", "1")
         assert run(capsys, "seq", "gen", "--kind", "s2", "-N", "10000000")[0] == 3
+        # column has a level at every N: 10^9 of them are refused, not allocated
+        assert run(capsys, "certify", "--source", f"morphic:{COLUMN}", "-N", "1000000000")[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--source", f"morphic:{TM}"],
+        ["certify", "--source", "s2nz", "-N", "100000"],
+        ["seq", "count", "--kind", f"morphic:{TM}", "--checkpoints", "geo:4:2:64"],
+        ["seq", "count", "--kind", "s2", "--checkpoints", "geo:4:2:64"],
+        ["seq", "gen", "--kind", f"morphic:{TM}", "-N", "8"],
+    ])
+    def test_each_command_resolves_its_source_once(self, argv, capsys, monkeypatch):
+        calls = []
+        for module, name in ((certify, "resolve_source"), (words, "parse_morphism_file")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        assert run(capsys, *argv)[0] == 0
+        parses = ["parse_morphism_file"] if "morphic:" in " ".join(argv) else []
+        assert calls == ["resolve_source"] + parses
 
     def test_bad_mem_env_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("MORPH_MEM_MB", "many")

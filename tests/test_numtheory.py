@@ -17,14 +17,12 @@ from morphcert.numtheory import (
     count_s2_nonzero,
     count_series,
     diff_bound_check,
-    factorize,
     lr_estimate_sieve,
     lr_euler_product,
     multiplicativity_check,
     sieve_s2_additive,
     sieve_s2_multiplicative,
     sieve_s2_nonzero,
-    spf_sieve,
 )
 
 # 0.76422365358922066 is the Landau-Ramanujan constant (OEIS A064533)
@@ -260,6 +258,37 @@ class TestIsqrt:
         scaled = uniform >> rng.integers(0, 62, 10**5)  # every magnitude
         for v in (uniform, scaled):
             assert _isqrt(v).tolist() == [math.isqrt(n) for n in v.tolist()]
+
+
+def spf_sieve(N):
+    """Smallest-prime-factor table for 0..N (spf[0] = 0, spf[1] = 1): the
+    factor table of the SPF route below."""
+    spf = np.zeros(N + 1, dtype=np.int32)
+    if N >= 1:
+        spf[1] = 1
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == 0:
+            spf[p] = p
+            sl = spf[p * p:: p]
+            sl[sl == 0] = p
+    # untouched entries are primes above sqrt(N) (and index 0): spf[n] = n
+    np.copyto(spf, np.arange(N + 1, dtype=np.int32), where=spf == 0)
+    return spf
+
+
+def factorize(n, spf):
+    """Prime factorization of n using a precomputed SPF table."""
+    if n < 1 or n >= len(spf):
+        raise DomainError(f"n = {n} outside the SPF table range")
+    out = []
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def spf_route_s2(N):

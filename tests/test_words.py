@@ -17,7 +17,6 @@ from morphcert.words import (
     Alphabet,
     Morphism,
     MorphicSystem,
-    checkpoints,
     count_in_prefix,
     fixed_point_stream,
     is_prolongable,
@@ -29,6 +28,7 @@ from morphcert.words import (
 
 from conftest import (
     chain,
+    checkpoints,
     column,
     doubling,
     fibonacci,
