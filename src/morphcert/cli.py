@@ -150,7 +150,7 @@ def cmd_seq_count(args) -> int:
     n0, ratio, max_n = _parse_schedule(args.checkpoints)
     size = certify._schedule_size(n0, ratio, max_n)  # charged before the schedule is built
     source = certify.resolve_source(args.kind, args.symbol)
-    if source.system is None and _ROW_BYTES * size > budget:
+    if _ROW_BYTES * size > budget:
         raise ResourceError(f"{size} checkpoints need about {_ROW_BYTES * size} bytes, budget is {budget}")
     cps = certify.geometric_checkpoints(n0, ratio, max_n)
     if source.system is None:

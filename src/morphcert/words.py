@@ -24,6 +24,7 @@ Word = bytes
 
 MAX_LETTERS = 256
 DEFAULT_ITERATE_CAP = 10**8
+_TABLE_LETTERS = 2**20  # iterate's image tables, all powers together
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -210,7 +211,18 @@ def _apply(images: Sequence[Word], w: Word) -> Word:
 
 
 def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP) -> Word:
-    """Return phi^k(w), refusing to materialize more than max_len letters."""
+    """Return phi^k(w), refusing to materialize more than max_len letters.
+
+    The length of every level up to k is predicted before anything is built.
+    Then image tables T_s = (phi^s(a) for each letter a) are squared,
+    T_2s(a) = T_s(T_s(a)), for s = 1, 2, 4, ... while 2s <= k and the tables
+    stay small: all of them together hold at most min(|phi^k(w)|, 2^20)
+    letters, checked before each is built from the bound
+    sum |T_2s| <= sum |T_s| * max |T_s|. T_s is applied once for each set bit
+    s of k below the largest table, lowest first, and the largest table for
+    the bits left above. Powers of phi commute, so the word is phi^k(w); each
+    step reads a level phi^j(w), j < k, and writes a later one.
+    """
     if k < 0:
         raise DomainError("k must be >= 0")
     if len(w) and max(w) >= m.d:
@@ -224,9 +236,21 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
             raise ResourceError(
                 f"iterate would produce {total} letters (cap {max_len})"
             )
+    cap = min(total, _TABLE_LETTERS)
+    table, smaller = m.images, []
+    held = sum(map(len, table))
+    while 2 << len(smaller) <= k:
+        if held + sum(map(len, table)) * max(map(len, table)) > cap:
+            break
+        smaller.append(table)
+        table = tuple(_apply(table, img) for img in table)
+        held += sum(map(len, table))
     cur = w
-    for _ in range(k):
-        cur = _apply(m.images, cur)
+    for e, t in enumerate(smaller):
+        if k >> e & 1:
+            cur = _apply(t, cur)
+    for _ in range(k >> len(smaller)):
+        cur = _apply(table, cur)
     return cur
 
 

@@ -20,6 +20,8 @@ from morphcert.errors import ResourceError
 
 from conftest import MORPHISM_DIR
 
+TM = MORPHISM_DIR / "thue_morse.morph"
+
 MIB = 2**20
 
 
@@ -150,13 +152,16 @@ def devnull_stdout(monkeypatch):
     # geometric from 1000: the most halving levels per checkpoint
     ("seq count --kind s2nz --checkpoints geo:1000:1.01:{N}", lambda N: numtheory._s2_count_charge(N)
      + cli._ROW_BYTES * len(certify.geometric_checkpoints(1000, 1.01, N))),
+    # a morphic kind is charged its rows alone: the level table is a few rows of ints
+    ("seq count --kind morphic:{TM} --checkpoints geo:1:1.0001:{N}",
+     lambda N: cli._ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
     ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])
 def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
     N = 3 * MIB
     mb = math.ceil(charge(N) / MIB)
-    argv = argv.format(N=N).split()
+    argv = argv.format(N=N, TM=TM).split()
     monkeypatch.setenv("MORPH_MEM_MB", str(mb - 1))
     assert main(argv) == 3
     monkeypatch.setenv("MORPH_MEM_MB", str(mb))
@@ -171,9 +176,11 @@ def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
     assert peak <= mb * MIB
 
 
-def test_seq_count_refuses_before_building_the_schedule(monkeypatch, devnull_stdout):
-    # 10^6 checkpoints need about 183 MiB; the refusal builds none of them
-    argv = "seq count --kind s2 --checkpoints geo:1:1.000001:1000000".split()
+@pytest.mark.parametrize("kind", ["s2", f"morphic:{TM}"], ids=["s2", "thue_morse"])
+def test_seq_count_refuses_before_building_the_schedule(kind, monkeypatch, devnull_stdout):
+    # 10^6 checkpoints need about 183 MiB; the refusal builds none of them,
+    # also where the counts come from a morphism's level table
+    argv = f"seq count --kind {kind} --checkpoints geo:1:1.000001:1000000".split()
     monkeypatch.setenv("MORPH_MEM_MB", "1")
     main(argv)  # warm
     tracemalloc.start()

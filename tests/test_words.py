@@ -138,6 +138,47 @@ class TestMorphicSystem:
             MorphicSystem.build(swap(), "a")
 
 
+def _reference_iterate(m: Morphism, w: bytes, k: int) -> bytes:
+    """phi applied k times, one level at a time: the oracle of iterate's tables."""
+    for _ in range(k):
+        w = b"".join(m.images[ch] for ch in w)
+    return w
+
+
+def _lengths(m: Morphism, w: bytes, cap: int, kmax: int = 499) -> list[int]:
+    """|phi^k(w)| for k = 0, 1, ..., kmax while it stays within cap."""
+    per_letter, out = [1] * m.d, [len(w)]
+    while len(out) <= kmax:
+        per_letter = [sum(per_letter[c] for c in img) for img in m.images]
+        n = sum(per_letter[c] for c in w)
+        if n > cap:
+            break
+        out.append(n)
+    return out
+
+
+def _random_images(rng, d):
+    # mostly short images, so a few hundred levels stay small
+    return {f"x{i}": [f"x{rng.randrange(d)}" for _ in range(rng.choice((1, 1, 1, 2, 2, 3)))]
+            for i in range(d)}
+
+
+def _long_image():
+    # a -> a (b c)^999 b: 2000 letters, so no squared table fits under 2^20
+    return make_morphism("abc", {"a": ["a"] + ["b", "c"] * 999 + ["b"],
+                                 "b": ["b", "c"], "c": ["c"]})
+
+
+_SAMPLES = (thue_morse, fibonacci, column, chain, doubling)
+
+
+def _bit_edges(m, w, cap):
+    """k in {0, 1, 2^e - 1, 2^e, 2^e + 1} while |phi^k(w)| stays within cap."""
+    deepest = len(_lengths(m, w, cap)) - 1
+    ks = {0, 1} | {k for e in range(1, 9) for k in (2**e - 1, 2**e, 2**e + 1)}
+    return sorted(k for k in ks if k <= deepest)
+
+
 class TestIterate:
     def test_thue_morse(self, tm):
         m = tm.morphism
@@ -164,22 +205,77 @@ class TestIterate:
         with pytest.raises(ValidationError):
             iterate(m, b"\x05", 1)
 
-    def test_traced_peak_near_output_size(self, tm):
-        # 1 MiB of output; joining one generator over all letters peaks near 46 MiB
+    @pytest.mark.parametrize("m, k", [
+        (thue_morse().morphism, 20),
+        (column().morphism, 10**4),
+        (_long_image(), 33),
+    ], ids=["thue_morse", "column", "long_image"])
+    def test_traced_peak_near_output_size(self, m, k):
+        # at most the input level, the pieces of the output, the output itself
+        # and tables no larger than the output; joining one generator over all
+        # letters of Thue-Morse k = 20 peaks near 46 MiB
+        iterate(m, b"\x00", 2)  # warm
         tracemalloc.start()
         try:
-            word = iterate(tm.morphism, b"\x00", 20)
+            word = iterate(m, b"\x00", k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(word) == 2**20
-        assert peak < 4 * 2**20
+        assert len(word) == _lengths(m, b"\x00", 2**24, k)[k]
+        assert peak <= 3 * len(word) + 2**20
 
     def test_length_cap_without_materializing(self, tm):
         # 2^40 letters predicted exactly, refused before any allocation
         with pytest.raises(ResourceError):
             iterate(tm.morphism, b"\x00", 40, max_len=10**6)
         assert len(iterate(tm.morphism, b"\x00", 20, max_len=2**20)) == 2**20
+
+    @pytest.mark.parametrize("make", _SAMPLES, ids=lambda f: f.__name__)
+    def test_samples_match_reference(self, make):
+        m = make().morphism
+        for n in range(4):
+            w = bytes(i % m.d for i in range(n))
+            for k in _bit_edges(m, w, 2**16):
+                assert iterate(m, w, k) == _reference_iterate(m, w, k), (n, k)
+
+    def test_random_morphisms_match_reference(self):
+        rng = random.Random(18)
+        for d in (2, 3, 4, 8, 16, 48, 128, 256):
+            for _ in range(4):
+                m = make_morphism([f"x{i}" for i in range(d)], _random_images(rng, d))
+                w = bytes(rng.randrange(d) for _ in range(rng.randint(0, 3)))
+                k = len(_lengths(m, w, 2**15)) - 1
+                for j in (k, rng.randint(0, k)):
+                    assert iterate(m, w, j) == _reference_iterate(m, w, j), (d, j)
+
+    def test_long_image_matches_reference(self):
+        m = _long_image()
+        for n in range(4):
+            w = bytes(i % m.d for i in range(n))
+            for k in _bit_edges(m, w, 2**17):
+                assert iterate(m, w, k) == _reference_iterate(m, w, k), (n, k)
+
+    @pytest.mark.parametrize("m, w, k, squared", [
+        (thue_morse().morphism, b"\x00", 20, True),
+        (column().morphism, b"\x00", 10**4, True),
+        # b -> b: the tables of a would outgrow the one-letter result
+        (column().morphism, b"\x01", 10**4, False),
+        (chain().morphism, b"\x00", 2000, True),  # 2^20 binds before the result
+        (_long_image(), b"\x00", 33, False),  # the first squared table exceeds 2^20
+    ], ids=["thue_morse", "column", "column_fixed_letter", "chain", "long_image"])
+    def test_tables_within_result_and_cap(self, m, w, k, squared, monkeypatch):
+        tables = {}
+        real = words._apply
+
+        def spy(table, word):
+            tables[id(table)] = table
+            return real(table, word)
+
+        monkeypatch.setattr(words, "_apply", spy)
+        word = iterate(m, w, k)
+        built = [t for t in tables.values() if t is not m.images]
+        assert sum(len(img) for t in built for img in t) <= min(len(word), 2**20)
+        assert bool(built) == squared
 
 
 class TestCheckpoints:
