@@ -483,11 +483,14 @@ def _level_charge(d: int, t: int, k: int, take: int, exact: bool) -> int:
     """Bytes _level_counts holds once it forms a block of `take` levels beside k:
     the old and new level matrices, the product and the length column; then the
     level matrix, the lengths past it, its target rows and the two returned
-    columns. A Python int in an object column is charged 40 bytes."""
+    columns; then, as the certificate fits one point per level, the two columns,
+    the level numbers, the cached x and y and at most 9 columns the polyexp fit
+    forms at once. A Python int in an object column is charged 40 bytes."""
     both = k + take
     forming = d * (k + take + both) + k
     returned = (d + t + 3) * both
-    return (8 if exact else 48) * max(forming, returned) + numtheory._OVERHEAD
+    fitting = 14 * both
+    return (8 if exact else 48) * max(forming, returned, fitting) + numtheory._OVERHEAD
 
 
 def _level_counts(rows, start: int, targets: Sequence[int], max_n: int,
@@ -507,7 +510,7 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int,
     N_k grows with k. Only when max_n is itself not below 2^62 are the counts
     Python ints. Each block is charged against mem_budget before it is formed,
     so a word with a level at every N (alpha = 1) raises ResourceError where
-    its columns would outgrow the budget.
+    its columns, or the certificate's fits on them, would outgrow the budget.
     """
     exact = max_n < _INT64_SAFE
     m = np.array(rows, dtype=np.int64 if exact else object)

@@ -8,6 +8,7 @@ never from Jordan forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
@@ -17,7 +18,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _letter_index, count_matrix, count_vectors
+from .words import Morphism, MorphicSystem, _letter_index, _level_rows, count_matrix
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12
@@ -256,27 +257,36 @@ def _path_class(dag: ComponentDag, sink: int | None):
 
 
 def _fit_constant(
-    M: IncidenceMatrix,
+    m: Morphism,
     source: int,
     targets: tuple[int, ...] | None,
     rate: float,
     degree: int,
     period: int,
 ) -> float | None:
-    """exp(mean residual) of ln(count) - degree*ln(Tk) - Tk*ln(rate), k = 10..20."""
+    """exp(mean residual) of ln(count) - degree*ln(Tk) - Tk*ln(rate), k = 10..20.
+
+    A count is the source's entry of a row of weights, all ones or the targets'
+    indicator, carried to level Tk exactly by the images or by M^T."""
     vals = []
     lograte = math.log(rate)
     ks = range(period * 10, period * 20 + 1, period)
-    # M^T costs bit_length + popcount products of d^3, then 20 steps of d^2
-    # reach k = 20T; walking by M takes 20T steps of d^2, and wins at T = 1
-    d = M.d
-    if (period.bit_length() + period.bit_count()) * d < 20 * (period - 1):
-        rows, stride = _mat_pow(M.entries, period, d), 1
+    d = m.d
+    weights = [1] * d if targets is None else [int(a in targets) for a in range(d)]
+    # M^T costs bit_length + popcount products of d^3, then 20 strides of d^2
+    # reach k = 20T; the images take 20T steps of sum |phi(a)|. At T = 1 there
+    # is nothing to jump over
+    jump = (period.bit_length() + period.bit_count()) * d**3 + 20 * d * d
+    if period > 1 and jump < 20 * period * sum(map(len, m.images)):
+        cols = tuple(zip(*_mat_pow(count_matrix(m), period, d)))
+        rows = [weights]
+        for _ in range(20):
+            rows.append([sum(map(operator.mul, rows[-1], col)) for col in cols])
+        rows = rows[10:]
     else:
-        rows, stride = M.entries, period
-    vectors = islice(count_vectors(rows, bytes([source])), 10 * stride, 20 * stride + 1, stride)
-    for k, c in zip(ks, vectors):
-        cnt = sum(c) if targets is None else sum(c[t] for t in targets)
+        rows = islice(_level_rows(m.images, weights), 10 * period, 20 * period + 1, period)
+    for k, row in zip(ks, rows):
+        cnt = row[source]
         if cnt <= 0:
             continue
         vals.append(math.log(cnt) - degree * math.log(k) - k * lograte)
@@ -288,7 +298,7 @@ def _fit_constant(
 def growth_class(m: Morphism, a) -> GrowthClass:
     """Constructive (alpha, l, T) for |phi^k(a)|, plus a fitted G estimate."""
     alpha, total, period = _path_class(scc_dag(m, a), None)
-    G = _fit_constant(incidence_matrix(m), _letter_index(m, a), None, alpha, total - 1, period)
+    G = _fit_constant(m, _letter_index(m, a), None, alpha, total - 1, period)
     return GrowthClass(alpha, total - 1, period, G)
 
 
@@ -323,7 +333,7 @@ def _targets_growth_class(m: Morphism, src: int, targets) -> LetterGrowthClass:
     beta, deg, period, live = _targets_class(scc_dag(m, src), targets)
     if not live:
         return LetterGrowthClass(beta, deg, period, None, True)
-    Gp = _fit_constant(incidence_matrix(m), src, live, beta, deg, period)
+    Gp = _fit_constant(m, src, live, beta, deg, period)
     return LetterGrowthClass(beta, deg, period, Gp, False)
 
 
@@ -377,7 +387,7 @@ def analysis_report(sys: MorphicSystem) -> dict:
             "alpha": alpha,
             "l": total - 1,
             "T": period,
-            "G_estimate": _fit_constant(M, sys.start, None, alpha, total - 1, period),
+            "G_estimate": _fit_constant(m, sys.start, None, alpha, total - 1, period),
         },
         "letter_growth": letter_growth,
     }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -186,17 +186,17 @@ def count_matrix(m: Morphism) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(img.count(t) for img in m.images) for t in range(m.d))
 
 
-def count_vectors(rows: Sequence[Sequence[int]], w: Word) -> Iterator[list[int]]:
-    """Exact letter counts of w, phi(w), phi^2(w), ... without building the words.
+def _level_rows(images: Sequence[Word], row: list[int]) -> Iterator[list[int]]:
+    """row, then one row per level k = 1, 2, ...: entry a of level k is the sum
+    of row over the letters of phi^k(a).
 
-    rows is count_matrix(m) of the morphism phi. The stream is endless, so
-    callers bound it; each vector is a fresh list.
+    From all ones it gives |phi^k(a)|; from the indicator of some letters, how
+    many of them phi^k(a) holds. A step costs sum |phi(a)| additions. The
+    stream is endless, so callers bound it; each row is a fresh list.
     """
-    d = len(rows)
-    c = [w.count(t) for t in range(d)]
     while True:
-        yield c
-        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
+        yield row
+        row = [sum(map(row.__getitem__, img)) for img in images]
 
 
 def _apply(images: Sequence[Word], w: Word) -> Word:
@@ -213,38 +213,40 @@ def _apply(images: Sequence[Word], w: Word) -> Word:
 def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP) -> Word:
     """Return phi^k(w), refusing to materialize more than max_len letters.
 
-    The length of every level up to k is predicted before anything is built.
-    Then image tables T_s = (phi^s(a) for each letter a) are squared,
-    T_2s(a) = T_s(T_s(a)), for s = 1, 2, 4, ... while 2s <= k and the tables
-    stay small: all of them together hold at most min(|phi^k(w)|, 2^20)
-    letters, checked before each is built from the bound
-    sum |T_2s| <= sum |T_s| * max |T_s|. T_s is applied once for each set bit
-    s of k below the largest table, lowest first, and the largest table for
-    the bits left above. Powers of phi commute, so the word is phi^k(w); each
-    step reads a level phi^j(w), j < k, and writes a later one.
+    The length of every level up to k, sum over letters a of
+    |w|_a |phi^j(a)|, is predicted from the per-letter lengths before
+    anything is built. Then image tables T_s = (phi^s(a) for each letter a)
+    are squared, T_2s(a) = T_s(T_s(a)), for s = 1, 2, 4, ... while 2s <= k
+    and the tables stay small: all of them together hold at most
+    min(|phi^k(w)|, 2^20) letters, and T_s holds exactly sum |phi^s(a)|,
+    read off the lengths before it is built. T_s is applied once for each
+    set bit s of k below the largest table, lowest first, and the largest
+    table for the bits left above. Powers of phi commute, so the word is
+    phi^k(w); each step reads a level phi^j(w), j < k, and writes a later one.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
     if len(w) and max(w) >= m.d:
         raise ValidationError("word uses an out-of-range letter index")
-    if k == 0:
+    if k == 0 or not w:
         return w
-    # predict lengths exactly before building anything
-    for counts in islice(count_vectors(count_matrix(m), w), 1, k + 1):
-        total = sum(counts)
+    used = [(a, w.count(a)) for a in set(w)]
+    sizes = []  # |T_s| for s = 1, 2, 4, ... <= k
+    for j, lengths in enumerate(islice(_level_rows(m.images, [1] * m.d), 1, k + 1), 1):
+        total = sum(lengths[a] * n for a, n in used)
         if total > max_len:
             raise ResourceError(
                 f"iterate would produce {total} letters (cap {max_len})"
             )
+        if j & (j - 1) == 0:
+            sizes.append(sum(lengths))
     cap = min(total, _TABLE_LETTERS)
     table, smaller = m.images, []
-    held = sum(map(len, table))
-    while 2 << len(smaller) <= k:
-        if held + sum(map(len, table)) * max(map(len, table)) > cap:
+    for held in islice(accumulate(sizes), 1, None):
+        if held > cap:
             break
         smaller.append(table)
         table = tuple(_apply(table, img) for img in table)
-        held += sum(map(len, table))
     cur = w
     for e, t in enumerate(smaller):
         if k >> e & 1:
@@ -334,15 +336,16 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
     """
     images = sys.morphism.images
     # the lengths first: past the cap no count row is built before streaming
-    len_rows = [[1] * len(images)]
-    top = max(ns, default=0)
-    while len_rows[-1][sys.start] < top:
+    top, len_rows = max(ns, default=0), []
+    for lengths in _level_rows(images, [1] * len(images)):
+        len_rows.append(lengths)
+        if lengths[sys.start] >= top:
+            break
         if len(len_rows) > _MAX_LEVELS:
             return _streamed_counts(sys, targets, ns)
-        len_rows.append([sum(map(len_rows[-1].__getitem__, img)) for img in images])
-    count_rows = [[int(a in targets) for a in range(len(images))]]
-    for _ in len_rows[2:]:  # levels 0..K-1: level K only decided K
-        count_rows.append([sum(map(count_rows[-1].__getitem__, img)) for img in images])
+    hits = [int(a in targets) for a in range(len(images))]
+    # levels 0..K-1: level K only decided K
+    count_rows = list(islice(_level_rows(images, hits), len(len_rows) - 1))
     out = []
     for n in ns:
         a, total = sys.start, 0
@@ -353,7 +356,7 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
                     break
                 n -= lengths[c]
                 total += counts[c]
-        out.append(total + count_rows[0][a] if n else total)  # n is 0 or 1 here
+        out.append(total + hits[a] if n else total)  # n is 0 or 1 here
     return out
 
 

@@ -1,13 +1,14 @@
-"""Shared morphism suite, N_k oracle and repo paths for the test modules."""
+"""Shared morphism suite, count-vector and N_k oracles and repo paths for the test modules."""
 
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
 from morphcert.errors import DomainError
-from morphcert.words import Alphabet, Morphism, MorphicSystem, count_matrix, count_vectors
+from morphcert.words import Alphabet, Morphism, MorphicSystem, count_matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MORPHISM_DIR = REPO_ROOT / "morphisms"
@@ -22,6 +23,17 @@ def make_system(letters, rules, start, coding=None) -> MorphicSystem:
 
 def make_morphism(letters, rules) -> Morphism:
     return Morphism.from_rules(Alphabet(tuple(letters)), rules)
+
+
+def count_vectors(rows: Sequence[Sequence[int]], w: bytes) -> Iterator[list[int]]:
+    """Exact letter counts of w, phi(w), phi^2(w), ... by the dense recurrence
+    c <- M c, where rows is count_matrix(m) of phi: the oracle of the per-letter
+    level rows, the level counts and the growth fits. The stream is endless."""
+    d = len(rows)
+    c = [w.count(t) for t in range(d)]
+    while True:
+        yield c
+        c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
 
 
 @dataclass(frozen=True)

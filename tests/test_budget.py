@@ -120,6 +120,27 @@ def test_level_counts_peak_within_charge(name, max_n, monkeypatch):
         run(charge - 1)
 
 
+@pytest.mark.parametrize("symbol, max_n", [("a", 2**20), ("a", 2**21), ("b", 2**20)])
+def test_dense_level_certificate_within_charge(symbol, max_n, monkeypatch):
+    # column has a level at every N, so its fits hold columns as long as the
+    # level counts; b's count changes at every level, so the polyexp fit
+    # takes one log per level. The default budget still certifies 2^20
+    source = f"morphic:{MORPHISM_DIR / 'column.morph'}"
+
+    def run(budget):
+        return certify.certify_nonmorphic(
+            source, certify.CertifyConfig(max_n=max_n, symbol=symbol, mem_budget=budget))
+
+    _certify(source)(2**10, numtheory.DEFAULT_MEM_BYTES)  # warm
+    charges = []
+    check = numtheory._check_budget
+    monkeypatch.setattr(numtheory, "_check_budget",
+                        lambda need, *rest: charges.append(need) or check(need, *rest))
+    assert traced_peak(run, numtheory.DEFAULT_MEM_BYTES) <= max(charges) <= numtheory.DEFAULT_MEM_BYTES
+    with pytest.raises(ResourceError):
+        run(max(charges) - 1)
+
+
 def test_dense_level_grid_refused_within_budget():
     # column has a level at every N: 10^9 of them need gigabytes of int64 columns
     config = certify.CertifyConfig(max_n=10**9, mem_budget=64 * MIB)

@@ -30,9 +30,9 @@ from morphcert.certify import (
 )
 from morphcert.errors import DomainError
 from morphcert.spectral import GrowthClass, LetterGrowthClass
-from morphcert.words import count_matrix, count_vectors
+from morphcert.words import count_matrix
 
-from conftest import MORPHISM_DIR, chain, checkpoints, column, make_system
+from conftest import MORPHISM_DIR, chain, checkpoints, column, count_vectors, make_system
 
 
 def logdamped_counts(C, gamma, ns, *, rounded=False):

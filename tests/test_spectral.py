@@ -20,12 +20,13 @@ from morphcert.spectral import (
     scc_dag,
     symbol_growth_class,
 )
-from morphcert.words import Alphabet, Morphism, MorphicSystem, count_vectors, iterate
+from morphcert.words import Alphabet, Morphism, MorphicSystem, iterate
 
 from conftest import (
     GOLDEN,
     chain,
     column,
+    count_vectors,
     counting_suite,
     doubling,
     fibonacci,
@@ -546,22 +547,24 @@ def _assert_fits_match_walk(m, letter_pairs):
             assert lg.Gp_estimate == want
 
 
-@pytest.mark.parametrize("lengths, period, steps", [
-    ((2, 3, 5, 7), 210, 21),  # 20 steps by M^210 instead of 4200 by M
-    ((2, 1, 1, 1, 1, 1, 1), 2, 41),  # 9 letters: M^2 costs more than 40 steps by M
-])
-def test_fit_steps_by_m_to_the_t_when_cheaper(monkeypatch, lengths, period, steps):
+@pytest.mark.parametrize("lengths, period, walked, powers", [
+    ((2, 3, 5, 7), 210, 0, [210]),  # 20 strides by M^210 instead of 4200 image steps
+    ((2, 1, 1, 1, 1, 1, 1), 2, 41, []),  # 9 letters: M^2 costs more than 40 image steps
+], ids=["stride", "walk"])
+def test_fit_steps_by_m_to_the_t_when_cheaper(monkeypatch, lengths, period, walked, powers):
     m = _cycle_morphism(lengths)
-    walk, drawn = spectral.count_vectors, []
+    walk, drawn, jumped = spectral._level_rows, [], []
 
-    def counted(rows, w):
-        for c in walk(rows, w):
-            drawn.append(c)
-            yield c
+    def counted(images, row):
+        for r in walk(images, row):
+            drawn.append(r)
+            yield r
 
-    monkeypatch.setattr(spectral, "count_vectors", counted)
+    monkeypatch.setattr(spectral, "_level_rows", counted)
+    real_pow = spectral._mat_pow
+    monkeypatch.setattr(spectral, "_mat_pow", lambda e, k, d: jumped.append(k) or real_pow(e, k, d))
     g = growth_class(m, "a")
-    assert g.T == period and len(drawn) == steps
+    assert g.T == period and len(drawn) == walked and jumped == powers
     monkeypatch.undo()
     heads = [f"c{j}_0" for j in range(len(lengths))]
     _assert_fits_match_walk(m, [("a", "a"), ("a", "c0_1"), ("c0_0", "c0_1")]

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from morphcert.words import (
     Morphism,
     MorphicSystem,
     count_in_prefix,
+    count_matrix,
     fixed_point_stream,
     is_prolongable,
     iterate,
@@ -30,6 +32,8 @@ from conftest import (
     chain,
     checkpoints,
     column,
+    count_vectors,
+    counting_suite,
     doubling,
     fibonacci,
     make_morphism,
@@ -164,12 +168,27 @@ def _random_images(rng, d):
 
 
 def _long_image():
-    # a -> a (b c)^999 b: 2000 letters, so no squared table fits under 2^20
+    # a -> a (b c)^999 b: 2000 letters, though T_s holds only about 500 s^2
     return make_morphism("abc", {"a": ["a"] + ["b", "c"] * 999 + ["b"],
                                  "b": ["b", "c"], "c": ["c"]})
 
 
 _SAMPLES = (thue_morse, fibonacci, column, chain, doubling)
+
+
+def _iterate_tables(m, w, k, monkeypatch):
+    """phi^k(w) and the image tables iterate built (the images themselves aside)."""
+    tables = {}
+    real = words._apply
+
+    def spy(table, word):
+        tables[id(table)] = table
+        return real(table, word)
+
+    monkeypatch.setattr(words, "_apply", spy)
+    word = iterate(m, w, k)
+    monkeypatch.undo()
+    return word, [t for t in tables.values() if t is not m.images]
 
 
 def _bit_edges(m, w, cap):
@@ -261,21 +280,32 @@ class TestIterate:
         # b -> b: the tables of a would outgrow the one-letter result
         (column().morphism, b"\x01", 10**4, False),
         (chain().morphism, b"\x00", 2000, True),  # 2^20 binds before the result
-        (_long_image(), b"\x00", 33, False),  # the first squared table exceeds 2^20
+        (_long_image(), b"\x00", 33, True),  # T_2 .. T_16, 215 k letters in all
     ], ids=["thue_morse", "column", "column_fixed_letter", "chain", "long_image"])
     def test_tables_within_result_and_cap(self, m, w, k, squared, monkeypatch):
-        tables = {}
-        real = words._apply
-
-        def spy(table, word):
-            tables[id(table)] = table
-            return real(table, word)
-
-        monkeypatch.setattr(words, "_apply", spy)
-        word = iterate(m, w, k)
-        built = [t for t in tables.values() if t is not m.images]
+        word, built = _iterate_tables(m, w, k, monkeypatch)
         assert sum(len(img) for t in built for img in t) <= min(len(word), 2**20)
         assert bool(built) == squared
+
+    def test_tables_sized_exactly(self, monkeypatch):
+        # column's T_s holds s + 2 letters, so at k = 10^5 exact sizes square
+        # well past T_512 within the cap
+        m = column().morphism
+        word, built = _iterate_tables(m, b"\x00", 10**5, monkeypatch)
+        assert len(word) == 10**5 + 1
+        assert max(len(t[0]) for t in built) - 1 > 512
+        assert sum(len(img) for t in built for img in t) <= min(len(word), 2**20)
+
+    def test_long_fixed_run_matches_reference(self):
+        # a -> a b^1000, b -> b: phi^k(a) = a b^(1000 k). The reference is
+        # checked at the bit edges up to k = 65; at k = 2000 (a minute for
+        # the reference) against the closed form and one reference step
+        m = make_morphism("ab", {"a": ["a"] + ["b"] * 1000, "b": ["b"]})
+        for k in _bit_edges(m, b"\x00", 2**17):
+            assert iterate(m, b"\x00", k) == _reference_iterate(m, b"\x00", k), k
+        word = iterate(m, b"\x00", 2000)
+        assert word == b"\x00" + b"\x01" * 2_000_000
+        assert word == _reference_iterate(m, iterate(m, b"\x00", 1999), 1)
 
 
 class TestCheckpoints:
@@ -591,6 +621,33 @@ def test_checkpoint_lengths_match_iterate(sys, k):
 @given(prolongable_systems(), st.integers(0, 400))
 def test_stream_and_counts_match_reference(sys, n):
     _assert_matches_reference(sys, n)
+
+
+# --- per-letter level rows against the count-vector oracle -----------------
+
+def _assert_level_rows_match_oracle(m, kmax):
+    """Row k from all ones is |phi^k(a)|, from an indicator the indicated
+    letters in phi^k(a): the sums of the dense count vectors of phi^k(a)."""
+    vectors = [list(islice(count_vectors(count_matrix(m), bytes([a])), kmax + 1))
+               for a in range(m.d)]
+    target_sets = [tuple(range(m.d))] + [(t,) for t in range(m.d)] + [tuple(range(0, m.d, 2))]
+    for targets in target_sets:
+        row = [int(a in targets) for a in range(m.d)]
+        got = list(islice(words._level_rows(m.images, row), kmax + 1))
+        want = [[sum(vectors[a][k][t] for t in targets) for a in range(m.d)]
+                for k in range(kmax + 1)]
+        assert got == want, targets
+
+
+def test_level_rows_match_count_vectors():
+    for _, m in counting_suite():
+        _assert_level_rows_match_oracle(m, 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(prolongable_systems(), st.integers(0, 12))
+def test_level_rows_match_count_vectors_on_small_morphisms(sys, kmax):
+    _assert_level_rows_match_oracle(sys.morphism, kmax)
 
 
 # --- Dumont-Thomas descent against the streamed prefix ----------------------
