@@ -8,7 +8,6 @@ never from Jordan forms.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
@@ -18,7 +17,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _letter_index, _level_rows, count_matrix
+from .words import Morphism, MorphicSystem, _letter_index, _level_rows, _reachable
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12
@@ -47,33 +46,19 @@ class IncidenceMatrix:
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
     _check_dim(m)
-    return IncidenceMatrix(m.d, count_matrix(m))
+    return IncidenceMatrix(m.d, m.count_matrix)
 
 
-def _mat_mul(a, b, d):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-
-
-def _mat_pow(entries, k: int, d: int):
-    result = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    base = entries
-    while k:
-        if k & 1:
-            result = _mat_mul(result, base, d)
-        base = _mat_mul(base, base, d)
-        k >>= 1
-    return result
+def _mat_pow(entries, k: int) -> np.ndarray:
+    """entries^k by repeated squaring, exact: an object array of Python ints."""
+    return np.linalg.matrix_power(np.array(entries, dtype=object), k)
 
 
 def matrix_power_count(M: IncidenceMatrix, k: int, source: int, target: int) -> int:
     """Exact |phi^k(a_source)|_{a_target} by repeated-squaring matrix power."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    power = _mat_pow(M.entries, k, M.d)
-    return power[target][source]
+    return _mat_pow(M.entries, k)[target, source]
 
 
 @dataclass(frozen=True)
@@ -162,14 +147,7 @@ def scc_dag(m: Morphism, root) -> ComponentDag:
     _check_dim(m)
     r = _letter_index(m, root)
     succ = _successors(m)
-    reach = {r}
-    stack = [r]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v not in reach:
-                reach.add(v)
-                stack.append(v)
+    reach = _reachable(m.images, (r,))
     g = nx.DiGraph()
     g.add_nodes_from(sorted(reach))
     for u in reach:
@@ -182,7 +160,7 @@ def scc_dag(m: Morphism, root) -> ComponentDag:
         for u in reach for v in succ[u]
         if comp_of[u] != comp_of[v]
     })
-    rows = count_matrix(m)
+    rows = m.count_matrix
     components = tuple(
         Component(
             c, perron_value([[rows[t][s] for s in c] for t in c]), _cyclicity_of(succ, c)
@@ -278,10 +256,10 @@ def _fit_constant(
     # is nothing to jump over
     jump = (period.bit_length() + period.bit_count()) * d**3 + 20 * d * d
     if period > 1 and jump < 20 * period * sum(map(len, m.images)):
-        cols = tuple(zip(*_mat_pow(count_matrix(m), period, d)))
-        rows = [weights]
+        power = _mat_pow(m.count_matrix, period)
+        rows = [np.array(weights, dtype=object)]
         for _ in range(20):
-            rows.append([sum(map(operator.mul, rows[-1], col)) for col in cols])
+            rows.append(rows[-1] @ power)
         rows = rows[10:]
     else:
         rows = islice(_level_rows(m.images, weights), 10 * period, 20 * period + 1, period)

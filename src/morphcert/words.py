@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -109,6 +110,15 @@ class Morphism:
     def image(self, letter) -> Word:
         return self.images[_letter_index(self, letter)]
 
+    @cached_property
+    def count_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """rows[t][s] = occurrences of letter t in the image of letter s."""
+        rows = [[0] * self.d for _ in range(self.d)]
+        for s, img in enumerate(self.images):
+            for t in img:
+                rows[t][s] += 1
+        return tuple(map(tuple, rows))
+
 
 def _letter_index(m: Morphism, a) -> int:
     """Accept a letter identifier or a raw index; return the index."""
@@ -181,9 +191,13 @@ class MorphicSystem:
         return hits
 
 
-def count_matrix(m: Morphism) -> tuple[tuple[int, ...], ...]:
-    """rows[t][s] = occurrences of letter t in the image of letter s."""
-    return tuple(tuple(img.count(t) for img in m.images) for t in range(m.d))
+def _reachable(images: Sequence[Word], letters: Iterable[int]) -> set[int]:
+    """The letters of phi^k(letters) over all k >= 0."""
+    reach = frontier = set(letters)
+    while frontier:
+        frontier = set().union(*map(images.__getitem__, frontier)) - reach
+        reach |= frontier
+    return reach
 
 
 def _level_rows(images: Sequence[Word], row: list[int]) -> Iterator[list[int]]:
@@ -223,6 +237,8 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     set bit s of k below the largest table, lowest first, and the largest
     table for the bits left above. Powers of phi commute, so the word is
     phi^k(w); each step reads a level phi^j(w), j < k, and writes a later one.
+    Letters that w never reaches count with an empty image in the lengths and
+    the squared tables, so their lengths stay 0 and their entries empty.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
@@ -231,8 +247,10 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     if k == 0 or not w:
         return w
     used = [(a, w.count(a)) for a in set(w)]
+    reached = _reachable(m.images, w)
+    images = tuple(img if a in reached else b"" for a, img in enumerate(m.images))
     sizes = []  # |T_s| for s = 1, 2, 4, ... <= k
-    for j, lengths in enumerate(islice(_level_rows(m.images, [1] * m.d), 1, k + 1), 1):
+    for j, lengths in enumerate(islice(_level_rows(images, [1] * m.d), 1, k + 1), 1):
         total = sum(lengths[a] * n for a, n in used)
         if total > max_len:
             raise ResourceError(
@@ -246,7 +264,8 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
         if held > cap:
             break
         smaller.append(table)
-        table = tuple(_apply(table, img) for img in table)
+        # T_2s(a) = T_s(T_s(a)); images is T_s with the unreached letters empty
+        table = images = tuple(_apply(table, img) for img in images)
     cur = w
     for e, t in enumerate(smaller):
         if k >> e & 1:

@@ -1,6 +1,7 @@
 """Shared morphism suite, count-vector and N_k oracles and repo paths for the test modules."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -8,7 +9,7 @@ from typing import Iterator, Sequence
 import pytest
 
 from morphcert.errors import DomainError
-from morphcert.words import Alphabet, Morphism, MorphicSystem, count_matrix
+from morphcert.words import Alphabet, Morphism, MorphicSystem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MORPHISM_DIR = REPO_ROOT / "morphisms"
@@ -25,9 +26,15 @@ def make_morphism(letters, rules) -> Morphism:
     return Morphism.from_rules(Alphabet(tuple(letters)), rules)
 
 
+def ref_count_matrix(m: Morphism) -> tuple[tuple[int, ...], ...]:
+    """rows[t][s] = img.count(t) for the image of letter s: one scan per entry,
+    the oracle of Morphism.count_matrix."""
+    return tuple(tuple(img.count(t) for img in m.images) for t in range(m.d))
+
+
 def count_vectors(rows: Sequence[Sequence[int]], w: bytes) -> Iterator[list[int]]:
     """Exact letter counts of w, phi(w), phi^2(w), ... by the dense recurrence
-    c <- M c, where rows is count_matrix(m) of phi: the oracle of the per-letter
+    c <- M c, where rows is m.count_matrix of phi: the oracle of the per-letter
     level rows, the level counts and the growth fits. The stream is endless."""
     d = len(rows)
     c = [w.count(t) for t in range(d)]
@@ -51,7 +58,7 @@ def checkpoints(sys: MorphicSystem, kmax: int) -> CheckpointSeries:
     the N_k oracle of the word and level-count tests."""
     if kmax < 0:
         raise DomainError("kmax must be >= 0")
-    vectors = count_vectors(count_matrix(sys.morphism), bytes([sys.start]))
+    vectors = count_vectors(sys.morphism.count_matrix, bytes([sys.start]))
     return CheckpointSeries(tuple(
         (k, sum(counts)) for k, counts in enumerate(islice(vectors, kmax + 1))
     ))
@@ -98,6 +105,21 @@ def counting_suite() -> list[tuple[str, Morphism]]:
         ("doubling", doubling().morphism),
         ("swap", swap()),
     ]
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """One entry per count matrix built, naming the morphism it was built for."""
+    builds, build = [], Morphism.count_matrix.func
+
+    def counted(m):
+        builds.append(m)
+        return build(m)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Morphism, "count_matrix")
+    monkeypatch.setattr(Morphism, "count_matrix", spy)
+    return builds
 
 
 @pytest.fixture

@@ -103,7 +103,7 @@ def test_diff_bound_streams_within_8_mib():
 def test_level_counts_peak_within_charge(name, max_n, monkeypatch):
     # alpha = 1 (a level at every N, 48 MiB of columns) and alpha > 1
     system = words.parse_morphism_file(MORPHISM_DIR / f"{name}.morph")
-    rows = words.count_matrix(system.morphism)
+    rows = system.morphism.count_matrix
     targets = system.letters_for(system.coding[system.start])
 
     def run(budget):

@@ -30,7 +30,6 @@ from morphcert.certify import (
 )
 from morphcert.errors import DomainError
 from morphcert.spectral import GrowthClass, LetterGrowthClass
-from morphcert.words import count_matrix
 
 from conftest import MORPHISM_DIR, chain, checkpoints, column, count_vectors, make_system
 
@@ -434,6 +433,13 @@ class TestGrowthClassesOnlyForVerdict:
         assert report.verdict.case_id == CASE_SUPER_UNIT_ALPHA
         assert calls == ["scc_dag"]
 
+    def test_verdict_builds_the_count_matrix_once(self, matrix_builds, tmp_path):
+        # the level counts and the condensation read the same matrix
+        path = tmp_path / "verdict.morph"
+        path.write_text(self.VERDICT_SPEC, encoding="utf-8")
+        report = certify_nonmorphic(f"morphic:{path}")
+        assert report.verdict is not None and len(matrix_builds) == 1
+
 
 def _masked_points(report, morphic):
     """How many checkpoints the usable-point mask keeps: N >= MIN_FIT_N,
@@ -529,7 +535,7 @@ class TestDecideOnColumns:
         # c first occurs in chain's phi^2(a) = abbc, so the counts start 0, 0, 1
         monkeypatch.setattr(certify, "MIN_FIT_N", min_fit_n)
         sys = chain()
-        walk = _walk_counts(count_matrix(sys.morphism), sys.start, sys.letters_for("c"), 2**12)
+        walk = _walk_counts(sys.morphism.count_matrix, sys.start, sys.letters_for("c"), 2**12)
         ns, counts = map(np.array, walk)
         assert counts[:3].tolist() == [0, 0, 1]
         want = sum(n >= min_fit_n and c >= 1 and k >= 1 for k, (n, c) in enumerate(zip(*walk)))
@@ -596,7 +602,7 @@ def _walk_counts(rows, start, targets, max_n):
 
 
 def _assert_level_counts(sys, symbol, max_n):
-    rows = count_matrix(sys.morphism)
+    rows = sys.morphism.count_matrix
     targets = sys.letters_for(symbol)
     got = tuple(col.tolist() for col in certify._level_counts(rows, sys.start, targets, max_n))
     assert got == _walk_counts(rows, sys.start, targets, max_n)
@@ -669,7 +675,7 @@ class TestLevelCounts:
         # 2^20 levels of two int64 counts hold 16 MiB. The last doubling block
         # is cut to the levels that can still be <= max_n before it is formed,
         # and the returned columns own their data
-        rows = count_matrix(column().morphism)
+        rows = column().morphism.count_matrix
         certify._level_counts(rows, 0, (1,), 2**10)  # warm
         tracemalloc.start()
         try:
@@ -686,7 +692,7 @@ class TestLevelCounts:
         path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")
         report = certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=2**50))
         sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
-        ns, counts = _walk_counts(count_matrix(sys.morphism), 0, (0,), 2**50)
+        ns, counts = _walk_counts(sys.morphism.count_matrix, 0, (0,), 2**50)
         assert report.checkpoints == tuple(zip(ns, counts))
 
 
@@ -877,13 +883,13 @@ def _checkpoint_cases(tmp_path):
     yield (certify_nonmorphic("s2"),
            numtheory.count_series(numtheory.sieve_s2_additive(2**20), cps).entries)
     sys = column()
-    ns, counts = _walk_counts(count_matrix(sys.morphism), sys.start, sys.letters_for("a"), 2**12)
+    ns, counts = _walk_counts(sys.morphism.count_matrix, sys.start, sys.letters_for("a"), 2**12)
     yield (certify_nonmorphic(f"morphic:{MORPHISM_DIR / 'column.morph'}", CertifyConfig(max_n=2**12)),
            tuple(zip(ns, counts)))
     path = tmp_path / "triple.morph"
     path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")
     sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
-    ns, counts = _walk_counts(count_matrix(sys.morphism), 0, (1,), 10**40)
+    ns, counts = _walk_counts(sys.morphism.count_matrix, 0, (1,), 10**40)
     report = certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=10**40, symbol="b"))
     assert report.checkpoints.counts.dtype == object and counts[-1] > 2**63
     yield report, tuple(zip(ns, counts))

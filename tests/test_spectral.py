@@ -20,10 +20,11 @@ from morphcert.spectral import (
     scc_dag,
     symbol_growth_class,
 )
-from morphcert.words import Alphabet, Morphism, MorphicSystem, iterate
+from morphcert.words import Alphabet, Morphism, MorphicSystem, iterate, parse_morphism_file
 
 from conftest import (
     GOLDEN,
+    MORPHISM_DIR,
     chain,
     column,
     count_vectors,
@@ -32,6 +33,7 @@ from conftest import (
     fibonacci,
     make_morphism,
     make_system,
+    ref_count_matrix,
     swap,
     thue_morse,
 )
@@ -59,6 +61,13 @@ class TestIncidenceMatrix:
         for _, m in counting_suite():
             M = incidence_matrix(m)
             assert M.column_sums() == tuple(len(img) for img in m.images)
+
+    def test_count_matrix_matches_image_counts(self):
+        for _, m in counting_suite():
+            assert m.count_matrix == ref_count_matrix(m)
+        for path in sorted(MORPHISM_DIR.glob("*.morph")):
+            m = parse_morphism_file(path).morphism
+            assert m.count_matrix == ref_count_matrix(m)
 
     def test_dimension_cap(self):
         big = Alphabet(tuple(f"L{i}" for i in range(MAX_DIM + 1)))
@@ -385,6 +394,12 @@ def test_matrix_power_equals_expansion(m, k):
 
 @settings(max_examples=50, deadline=None)
 @given(small_morphisms())
+def test_count_matrix_matches_image_counts_on_small_morphisms(m):
+    assert m.count_matrix == ref_count_matrix(m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_morphisms())
 def test_letter_classes_bounded_by_word_class(m):
     for a in range(m.d):
         g = growth_class(m, a)
@@ -562,7 +577,7 @@ def test_fit_steps_by_m_to_the_t_when_cheaper(monkeypatch, lengths, period, walk
 
     monkeypatch.setattr(spectral, "_level_rows", counted)
     real_pow = spectral._mat_pow
-    monkeypatch.setattr(spectral, "_mat_pow", lambda e, k, d: jumped.append(k) or real_pow(e, k, d))
+    monkeypatch.setattr(spectral, "_mat_pow", lambda e, k: jumped.append(k) or real_pow(e, k))
     g = growth_class(m, "a")
     assert g.T == period and len(drawn) == walked and jumped == powers
     monkeypatch.undo()
@@ -583,3 +598,16 @@ def test_period_1_fits_match_walk():
 def test_fits_match_walk_on_small_morphisms(m):
     letters = m.alphabet.letters
     _assert_fits_match_walk(m, [(a, b) for a in letters for b in letters])
+
+
+@pytest.mark.parametrize("lengths", [(), (2, 3, 5, 7)], ids=["fixed", "stride"])
+def test_count_matrix_built_once(matrix_builds, lengths):
+    # T = 210 strides by M^210 in every G fit; T = 1 walks the images
+    sys = MorphicSystem.build(_cycle_morphism(lengths + (1,)), "a")
+    m = sys.morphism
+    analysis_report(sys)
+    for a in ("a", "c0_0"):
+        growth_class(m, a)
+        for b in m.alphabet.letters:
+            letter_growth_class(m, a, b)
+    assert matrix_builds == [m]

@@ -19,7 +19,6 @@ from morphcert.words import (
     Morphism,
     MorphicSystem,
     count_in_prefix,
-    count_matrix,
     fixed_point_stream,
     is_prolongable,
     iterate,
@@ -173,6 +172,12 @@ def _long_image():
                                  "b": ["b", "c"], "c": ["c"]})
 
 
+def _unreachable_letter():
+    # a -> a b, b -> b, c -> c c: phi^k(a) = a b^k; c, which a and b never
+    # reach, doubles each level
+    return make_morphism("abc", {"a": ["a", "b"], "b": ["b"], "c": ["c", "c"]})
+
+
 _SAMPLES = (thue_morse, fibonacci, column, chain, doubling)
 
 
@@ -281,7 +286,9 @@ class TestIterate:
         (column().morphism, b"\x01", 10**4, False),
         (chain().morphism, b"\x00", 2000, True),  # 2^20 binds before the result
         (_long_image(), b"\x00", 33, True),  # T_2 .. T_16, 215 k letters in all
-    ], ids=["thue_morse", "column", "column_fixed_letter", "chain", "long_image"])
+        (_unreachable_letter(), b"\x00", 10**4, True),
+    ], ids=["thue_morse", "column", "column_fixed_letter", "chain", "long_image",
+            "unreachable_letter"])
     def test_tables_within_result_and_cap(self, m, w, k, squared, monkeypatch):
         word, built = _iterate_tables(m, w, k, monkeypatch)
         assert sum(len(img) for t in built for img in t) <= min(len(word), 2**20)
@@ -295,6 +302,20 @@ class TestIterate:
         assert len(word) == 10**5 + 1
         assert max(len(t[0]) for t in built) - 1 > 512
         assert sum(len(img) for t in built for img in t) <= min(len(word), 2**20)
+
+    def test_unreachable_letter_has_no_tables(self, monkeypatch):
+        # c's doubling images would fill every squared table past the cap
+        m = _unreachable_letter()
+        word, built = _iterate_tables(m, b"\x00", 10**5, monkeypatch)
+        assert word == b"\x00" + b"\x01" * 10**5
+        assert built and all(t[2] == b"" for t in built)
+
+    def test_unreachable_letter_matches_reference(self):
+        m = _unreachable_letter()
+        for w in (b"\x00", b"\x01", b"\x02", b"\x00\x02", b"\x01\x00"):
+            for k in _bit_edges(m, w, 2**16):
+                assert iterate(m, w, k) == _reference_iterate(m, w, k), (w, k)
+        assert iterate(m, b"\x01", 10**5) == b"\x01"
 
     def test_long_fixed_run_matches_reference(self):
         # a -> a b^1000, b -> b: phi^k(a) = a b^(1000 k). The reference is
@@ -628,7 +649,7 @@ def test_stream_and_counts_match_reference(sys, n):
 def _assert_level_rows_match_oracle(m, kmax):
     """Row k from all ones is |phi^k(a)|, from an indicator the indicated
     letters in phi^k(a): the sums of the dense count vectors of phi^k(a)."""
-    vectors = [list(islice(count_vectors(count_matrix(m), bytes([a])), kmax + 1))
+    vectors = [list(islice(count_vectors(m.count_matrix, bytes([a])), kmax + 1))
                for a in range(m.d)]
     target_sets = [tuple(range(m.d))] + [(t,) for t in range(m.d)] + [tuple(range(0, m.d, 2))]
     for targets in target_sets:
