@@ -25,6 +25,7 @@ import numpy as np
 
 from . import numtheory, spectral, words
 from .errors import DomainError, UnknownSource
+from .numtheory import _values
 
 CASE_BETA_LT_ALPHA = "BETA_LT_ALPHA"
 CASE_UNIT_ALPHA = "UNIT_ALPHA"
@@ -155,21 +156,15 @@ class CertificateReport:
         }
 
 
-class _FitPoints(Sequence):
+class _FitPoints(numtheory._Pairs):
     """(first, count) pairs held as two numpy columns, int64 or object.
 
-    A report's checkpoints and the fit points are this type. It compares,
-    hashes, indexes and iterates like the tuple of int pairs it stands for,
-    without a Python object per pair. The logdamped columns x = ln ln N and
-    y = ln(N/count) are computed on first use and then kept, so a fit and its
-    gamma interval on the same points pay for them once. Each distinct log is
-    taken once: x is the log of the ln N column, and on int64 columns y is
-    that same ln N wherever count == 1.
+    A report's checkpoints and the fit points are this type. The logdamped
+    columns x = ln ln N and y = ln(N/count) are computed on first use and then
+    kept, so a fit and its gamma interval on the same points pay for them once.
+    Each distinct log is taken once: x is the log of the ln N column, and on
+    int64 columns y is that same ln N wherever count == 1.
     """
-
-    def __init__(self, first: np.ndarray, counts: np.ndarray):
-        self.first = first
-        self.counts = counts
 
     @classmethod
     def of(cls, points) -> "_FitPoints":
@@ -179,22 +174,6 @@ class _FitPoints(Sequence):
         # object columns keep the caller's numbers exactly as given
         return cls(np.array([a for a, _ in pairs], dtype=object),
                    np.array([c for _, c in pairs], dtype=object))
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self):
-        return zip(_values(self.first), _values(self.counts))
-
-    def __getitem__(self, i):
-        first, count = np.asarray(self.first[i]).tolist(), np.asarray(self.counts[i]).tolist()
-        return tuple(zip(first, count)) if isinstance(i, slice) else (first, count)
-
-    def __eq__(self, other):
-        return tuple(self) == (tuple(other) if isinstance(other, _FitPoints) else other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     @cached_property
     def logdamped_xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,11 +192,6 @@ class _FitPoints(Sequence):
             ratios = map(operator.truediv, _values(first), _values(counts))
             y = np.fromiter(map(math.log, ratios), float, n)
         return x, y
-
-
-def _values(column: np.ndarray):
-    """A column's entries as Python numbers, one at a time unless it is object."""
-    return column.tolist() if column.dtype == object else memoryview(column)
 
 
 def _fit_points(points: _FitPoints, min_x: float, what: str):
@@ -429,6 +403,12 @@ _NOTES = {
         "too few usable checkpoints); no conclusion is drawn."
     ),
 }
+# inconclusive although log-damped wins the residual comparison
+_GAMMA_OUTSIDE_NOTE = (
+    "The log-damped density profile wins the residual comparison, but its "
+    "gamma interval does not sit strictly inside (0, 1), so it does not show "
+    "the damping that rules out morphicity; no conclusion is drawn."
+)
 
 
 # sieve kind -> (key, table function, count function): named, and looked up in
@@ -589,8 +569,8 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     src = resolve_source(source, config.symbol)
     if src.system is None:  # a sieve counts on the grid N0 * RATIO^j
         cps = geometric_checkpoints(N0, RATIO, config.max_n)
-        entries = src.sieve_counts(config.max_n, cps, config.mem_budget).entries
-        ns, counts = np.array(cps, dtype=np.int64), np.array([c for _, c in entries], dtype=np.int64)
+        pairs = src.sieve_counts(config.max_n, cps, config.mem_budget).entries
+        ns, counts = pairs.first, pairs.counts
         levels = None
     else:  # a morphic word at every N_k, with k as its level
         rows = spectral.incidence_matrix(src.system.morphism).entries
@@ -606,6 +586,9 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     if src.system is not None and CASE_RTOL < gamma < 1.0 - CASE_RTOL:
         # the growth classes feed only the verdict, so only it computes them
         verdict = theorem1_verdict(*spectral._verdict_classes(src.system, src.symbol), gamma)
+    notes = _NOTES[decision.conclusion]
+    if decision.conclusion == CONCLUSION_INCONCLUSIVE and decision.preferred_model == "logdamped":
+        notes = _GAMMA_OUTSIDE_NOTE
     return CertificateReport(sequence_id=src.name, checkpoints=_FitPoints(ns, counts),
-                             verdict=verdict, notes=_NOTES[decision.conclusion], config=config,
+                             verdict=verdict, notes=notes, config=config,
                              **decision._asdict())

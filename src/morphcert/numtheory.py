@@ -16,8 +16,8 @@ up to P.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def _s2_charge(N: int) -> int:
 def _s2_count_charge(N: int) -> int:
     # the odd quarter map over t <= (N - 1) / 4, a quarter annulus with
     # pi/4 < 4/5 points per byte; beside a marked segment, its int32 running
-    # count and one batch of queries or members, 32 B each with numpy's buffers
+    # count and one batch of queries, 32 B each with numpy's buffers
     T = max(N - 1, 0) >> 2
     L, rows = min(_SEG, T + 1), math.isqrt(T) + 1
     marking = max(_marking_bytes(T, rows, 0.8), 5 * L + 32 * rows + 32 * _QUERIES)
@@ -134,11 +134,48 @@ class SieveTable:
         return int(self.bits.sum())
 
 
+class _Pairs(Sequence):
+    """(first, count) pairs held as two numpy columns, int64 or object.
+
+    It compares, hashes, indexes, slices and iterates like the tuple of int
+    pairs it stands for, without a Python object per pair.
+    """
+
+    def __init__(self, first: np.ndarray, counts: np.ndarray):
+        self.first = first
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        return zip(_values(self.first), _values(self.counts))
+
+    def __getitem__(self, i):
+        first, count = np.asarray(self.first[i]).tolist(), np.asarray(self.counts[i]).tolist()
+        return tuple(zip(first, count)) if isinstance(i, slice) else (first, count)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _Pairs) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _values(column: np.ndarray):
+    """A column's entries as Python numbers, one at a time unless it is object."""
+    return column.tolist() if column.dtype == object else memoryview(column)
+
+
 @dataclass(frozen=True)
 class CountSeries:
-    """Exact cumulative counts B at checkpoint values of N."""
+    """Exact cumulative counts B at checkpoint values of N: `entries` holds the
+    (N, B) pairs in two int64 columns, in the order the checkpoints were given."""
 
-    entries: tuple[tuple[int, int], ...]
+    entries: Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -288,10 +325,8 @@ def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSer
     todo = want[order]
     counts = np.zeros_like(todo)
     fill(todo, counts)
-    want[order] = counts  # the counts, in the caller's order
-    del order, todo, counts
-    # a list first: tuple() of an iterator grows by resizing, at twice the cost
-    return CountSeries(tuple(list(zip(map(int, checkpoints), want.tolist()))))
+    todo[order] = counts  # the counts, in the caller's order
+    return CountSeries(_Pairs(want, todo))
 
 
 def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
@@ -328,60 +363,36 @@ def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
 def _set_s2_counts(todo: np.ndarray, counts: np.ndarray) -> None:
     """counts = B(N) at the sorted checkpoints N, from the odd quarter map."""
     # B(N) = 1 + sum over j of Q(((N >> j) - 1) >> 2), Q(t) the marked t' <= t:
-    # 0 and the members 2^j (4t + 1) <= N. Each level of each segment adds its
-    # share as steps between consecutive checkpoints, and one cumsum adds them
+    # 0 and the members 2^j (4t + 1) <= N. Level j of a segment adds Q(t) to
+    # each N whose t it holds
     top = int(todo[-1]) if todo.size else 0
     segments = _quarter_segments((top - 1) >> 2) if top else ()
-    total = 0  # Q(lo - 1)
+    total, run = 0, None  # total = Q(lo - 1)
     for lo, seg in segments:
         # level j reads this segment for the N in [(4 lo + 1) << j, (4 hi + 1) << j)
-        runs, j = [], 0
-        while (4 * lo + 1) << j <= top:
-            i0, i1 = np.searchsorted(todo, [(4 * lo + 1) << j,
-                                            min((4 * (lo + seg.size) + 1) << j, top + 1)])
-            if i1 > i0:
-                # t - lo of the last N: ((N >> j) - 1) >> 2 - lo
-                last = (int(todo[i1 - 1]) - ((4 * lo + 1) << j)) >> (j + 2)
-                runs.append((j, int(i0), int(i1), last))
-            j += 1
-        # a level with more N than t to read steps at each member up to its
-        # last N; else many N read a running count of the segment, and few
-        # count the gaps between them
-        many = sum(i1 - i0 for _, i0, i1, last in runs if i1 - i0 <= 4 * (last + 1))
-        run = None
-        if many > seg.size >> 9:  # in place: cumsum to int32 would cast a copy first
-            run = seg.astype(np.int32)
-            np.cumsum(run, out=run)
-        for j, i0, i1, last in runs:
-            first, below = (4 * lo + 1) << j, 0  # below = Q(t of the last N) - Q(lo - 1)
-            if i1 - i0 > 4 * (last + 1):
-                for a in range(0, last + 1, _QUERIES):
-                    # the members 2^j (4t + 1), each a step at the first N >= it
-                    n = np.flatnonzero(seg[a:min(a + _QUERIES, last + 1)])
-                    below += n.size
-                    n = (4 * (n + lo + a) + 1) << j
-                    np.add.at(counts, np.searchsorted(todo, n), 1)
-            elif run is not None:
+        j = 0
+        while (first := (4 * lo + 1) << j) <= top:
+            i0, i1 = np.searchsorted(todo, [first, (4 * (lo + seg.size) + 1) << j])
+            # many N read a running count of the segment, few count the gaps
+            # between them
+            if i1 - i0 > seg.size >> 9:
+                if run is None:  # in place: cumsum to int32 would cast a copy first
+                    run = seg.astype(np.int32)
+                    np.cumsum(run, out=run)
                 for c in range(i0, i1, _QUERIES):
-                    q = run[(todo[c:min(c + _QUERIES, i1)] - first) >> (j + 2)]  # t - lo
-                    counts[c:c + q.size] += q
-                    counts[c + 1:c + q.size] -= q[:-1]
-                    counts[c] -= below
-                    below = int(q[-1])
-            else:
-                start = 0
-                ends = ((todo[i0:i1] - first) >> (j + 2)) + 1
+                    t = (todo[c:min(c + _QUERIES, i1)] - first) >> (j + 2)  # t - lo
+                    counts[c:c + t.size] += run[t]
+                counts[i0:i1] += total
+            elif i1 > i0:
+                start, q = 0, total
+                ends = ((todo[i0:i1] - first) >> (j + 2)) + 1  # t - lo + 1
                 for c, end in enumerate(ends.tolist(), i0):
-                    step = int(np.count_nonzero(seg[start:end]))
-                    counts[c] += step
-                    below += step
+                    q += int(np.count_nonzero(seg[start:end]))
+                    counts[c] += q
                     start = end
-            counts[i0] += total
-            if i1 < todo.size:
-                counts[i1] -= total + below
+            j += 1
         total += int(np.count_nonzero(seg))
-        del run
-    np.cumsum(counts, out=counts)
+        run = None  # freed before the next segment is marked
     counts += 1
 
 

@@ -403,6 +403,23 @@ class TestCertifyPipeline:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
+def test_logdamped_preferred_but_inconclusive_has_its_own_note(tmp_path):
+    # perfbench's random_morphism(random.Random(106), "r1_6", 6, (1, 2, 3), 2):
+    # at 2^20 log-damped wins the margin (residual ratio 0.62 against 0.7),
+    # but its gamma interval, about (-4.5e-4, 2.1e-4), is not inside (0, 1)
+    path = tmp_path / "r1_6.morph"
+    path.write_text(
+        "letters: x0 x1 x2 x3 x4 x5\nstart: x0\n"
+        "x0 -> x0 x4\nx1 -> x5 x3 x5\nx2 -> x5\nx3 -> x2 x1\nx4 -> x1\nx5 -> x3 x0 x0\n"
+        "coding: x0=0 x1=1 x2=0 x3=1 x4=1 x5=0\n", encoding="utf-8")
+    report = certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=2**20))
+    assert report.conclusion == CONCLUSION_INCONCLUSIVE
+    assert report.preferred_model == "logdamped"
+    assert report.gamma_ci[0] < 0.0 < report.gamma_ci[1]
+    assert report.notes == certify._GAMMA_OUTSIDE_NOTE
+    assert "selection margin" not in report.notes
+
+
 class TestGrowthClassesOnlyForVerdict:
     # a -> abb, b -> c, c -> aa counted on "0" = {a, c}: alpha > 1 and the
     # fitted gamma is about 0.01, so the case analysis runs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,14 +161,50 @@ def test_streamed_counts_match_table(build, count):
     (sieve_s2_additive, count_s2_additive), (sieve_s2_nonzero, count_s2_nonzero)])
 def test_streamed_counts_on_every_schedule_shape(build, count):
     # few checkpoints per segment, many, and more than the t they read, also
-    # where a later segment reads the same level (every N < 2^13, then N)
+    # where a later segment reads the same level (every N < 2^13, then N);
+    # then seg.size >> 9 and one more N = 4 t + 1 on level 0 of the second
+    # whole segment, the most that count the gaps between them and the
+    # fewest that read the segment's running count
     N = 3 * 2**20
     table = build(N)
     for cps in (geometric_checkpoints(1024, 2.0, N), geometric_checkpoints(1000, 1.01, N),
                 geometric_checkpoints(1, 1.0001, N), list(range(N - 6000, N + 1)),
                 list(range(2**13)) + [N], list(range(0, N + 1, 5)),
-                [N] * 5000 + [N // 2] * 5000 + [7] * 3):
+                [N] * 5000 + [N // 2] * 5000 + [7] * 3,
+                *([4 * (_SEG + 3 * i) + 1 for i in range(k)] + [N]
+                  for k in (_SEG >> 9, (_SEG >> 9) + 1))):
         assert count(N, cps) == count_series(table, cps)
+
+
+def test_entries_are_int64_columns_in_the_given_order():
+    cps = [100, 7, 7, 0, 64]
+    table = sieve_s2_additive(100)
+    for series in (count_s2_additive(100, cps), count_s2_nonzero(100, cps),
+                   count_series(table, cps)):
+        entries = series.entries
+        assert not isinstance(entries, tuple)
+        assert entries.first.dtype == entries.counts.dtype == np.int64
+        assert entries.first.tolist() == cps
+        assert entries.counts.tolist() == [b for _, b in entries]
+    want = tuple((n, int(table.bits[:n + 1].sum())) for n in cps)
+    assert count_series(table, cps).entries == want
+    assert count_s2_additive(100, cps).entries[1:3] == want[1:3]
+
+
+def test_every_integer_counts_hold_no_pair_objects():
+    # the checkpoint and count columns, the sort order and the sorted
+    # checkpoints take 32 B a checkpoint; a tuple and two ints per pair took
+    # 112 B in all
+    cps = list(range(10**6 + 1))
+    count_s2_additive(1000, cps[:1001])  # first calls fill caches
+    tracemalloc.start()
+    try:
+        series = count_s2_additive(10**6, cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.entries) == len(cps)
+    assert peak < 64 * len(cps)
 
 
 def test_streamed_counts_match_multiplicative_sieve():
