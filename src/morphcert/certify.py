@@ -453,12 +453,6 @@ def resolve_source(source: str, symbol: str | None = None) -> Source:
     return Source(_SIEVES[source][0])
 
 
-# The float shadow errs by far less than a third, so a shadow below _WIDE means
-# a true value below 2^63, and a true value up to max_n < 2^62 keeps it below.
-_INT64_SAFE = 2**62
-_WIDE = 1.5 * _INT64_SAFE
-
-
 def _level_charge(d: int, t: int, k: int, take: int, exact: bool) -> int:
     """Bytes _level_counts holds once it forms a block of `take` levels beside k:
     the old and new level matrices, the product and the length column; then the
@@ -480,38 +474,24 @@ def _level_counts(rows, start: int, targets: Sequence[int], max_n: int,
 
     Levels are built in doubling blocks: if the columns of V are the count
     vectors of levels 0..K-1 and P = M^K, the columns of P V are those of
-    levels K..2K-1, with lengths colsum(P) V. The arithmetic is int64, exact
-    modulo 2^64, so every entry whose true value is below 2^63 comes out
-    exact. A float shadow of P, capped at 2^64 so that it stays finite, gives
-    the lengths to well within a factor of 2. Only if the last length may pass
-    max_n are the lengths formed, and the block cut to those <= max_n before
-    P V is; only if it reaches _WIDE are the columns checked one by one, and
-    the first that may not be exact, and all after it, lie past max_n, since
-    N_k grows with k. Only when max_n is itself not below 2^62 are the counts
-    Python ints. Each block is charged against mem_budget before it is formed,
-    so a word with a level at every N (alpha = 1) raises ResourceError where
-    its columns, or the certificate's fits on them, would outgrow the budget.
+    levels K..2K-1, with lengths colsum(P) V. int64 is exact modulo 2^64, and
+    |phi(w)| <= L |w| for L the longest image, so the first N_k past max_n is
+    at most L max_n: while L max_n < 2^63, it and every length before it come
+    out exact in int64, and each block forms its lengths and is cut at that
+    first one before P V is. Otherwise the counts are Python ints. Each block
+    is charged against mem_budget before P V is formed, so a word with a level
+    at every N (alpha = 1) raises ResourceError where its columns, or the
+    certificate's fits on them, would outgrow the budget.
     """
-    exact = max_n < _INT64_SAFE
-    m = np.array(rows, dtype=np.int64 if exact else object)
-    v = np.zeros((len(rows), int(max_n >= 1)), m.dtype)  # level 0 has N_0 = 1
+    exact = max(map(sum, zip(*rows))) * max_n < 2**63  # L max_n, L the longest image
+    p = np.array(rows, dtype=np.int64 if exact else object)
+    v = np.zeros((len(rows), int(max_n >= 1)), p.dtype)  # level 0 has N_0 = 1
     v[start] = 1
-    p = m
-    shadow = m.astype(float) if exact else None
     while k := v.shape[1]:
         if k > 1:
             p = p @ p
-            if exact:
-                shadow = np.minimum(shadow @ shadow, 2.0**64)
-        top = shadow.sum(axis=0) @ v[:, -1] if exact else math.inf  # about N_{2K-1}
-        take = k
-        if 2 * top > max_n:
-            lengths = p.sum(axis=0) @ v
-            if exact and top >= _WIDE:
-                wide = shadow.sum(axis=0) @ v.astype(float) >= _WIDE
-                if wide.any():
-                    lengths = lengths[:wide.argmax()]
-            take = int(np.searchsorted(lengths, max_n, side="right"))
+        over = p.sum(axis=0) @ v > max_n  # exact up to the first True
+        take = int(over.argmax()) if over.any() else k
         if take:
             charge = _level_charge(len(rows), len(targets), k, take, exact)
             numtheory._check_budget(charge, mem_budget, "level counts")

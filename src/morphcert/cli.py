@@ -47,8 +47,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# per seq count checkpoint: schedule int 40 B, counts 8, count int 40, pair 80
-_ROW_BYTES = 192
+# per seq count checkpoint: the schedule's int 32 B, list slot 8 and 8 for
+# lists' spare room; then a sieve kind's four int64 columns (checkpoints, sort
+# order, sorted, counts) 32, or a morphic kind's count int 32, pair 56, slots 16
+_SIEVE_ROW_BYTES = 80
+_MORPHIC_ROW_BYTES = 152
 
 
 def _mem_budget() -> int:
@@ -150,11 +153,12 @@ def cmd_seq_count(args) -> int:
     n0, ratio, max_n = _parse_schedule(args.checkpoints)
     size = certify._schedule_size(n0, ratio, max_n)  # charged before the schedule is built
     source = certify.resolve_source(args.kind, args.symbol)
-    if _ROW_BYTES * size > budget:
-        raise ResourceError(f"{size} checkpoints need about {_ROW_BYTES * size} bytes, budget is {budget}")
+    row_bytes = _SIEVE_ROW_BYTES if source.system is None else _MORPHIC_ROW_BYTES
+    if row_bytes * size > budget:
+        raise ResourceError(f"{size} checkpoints need about {row_bytes * size} bytes, budget is {budget}")
     cps = certify.geometric_checkpoints(n0, ratio, max_n)
     if source.system is None:
-        entries = source.sieve_counts(max_n, cps, budget - _ROW_BYTES * len(cps)).entries
+        entries = source.sieve_counts(max_n, cps, budget - row_bytes * len(cps)).entries
     else:
         entries = words.prefix_count_series(source.system, source.symbol, cps)
     sys.stdout.write("N,B\n")

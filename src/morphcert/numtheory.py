@@ -329,35 +329,39 @@ def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSer
     return CountSeries(_Pairs(want, todo))
 
 
-def _count_segments(segments, limit: int, checkpoints: Sequence[int]) -> CountSeries:
-    """Member counts at the checkpoints from the byte map of [0, limit], given as
-    consecutive (lo, segment) pairs of at most _SEG bytes; stops after the largest."""
-    def fill(todo, counts):
-        i = total = 0
-        for lo, seg in segments:
-            if i == todo.size:
-                break
-            j = int(np.searchsorted(todo, lo + seg.size))
-            # members listed at 8 B each (a marked point each) cost about 500 gap counts
-            if j - i > seg.size >> 9:
-                pos = np.flatnonzero(seg)
-                counts[i:j] = total + np.searchsorted(pos, todo[i:j] - lo, side="right")
-                total += pos.size
-            else:
-                start = 0
-                for t, end in enumerate((todo[i:j] + 1 - lo).tolist(), i):
-                    total += int(np.count_nonzero(seg[start:end]))
-                    counts[t], start = total, end
-                total += int(np.count_nonzero(seg[start:]))
-            i = j
-
-    return _count_checkpoints(limit, checkpoints, fill)
+def _add_counts(seg: np.ndarray, ns: np.ndarray, base: int, shift: int,
+                counts: np.ndarray, total: int, run: np.ndarray | None = None) -> np.ndarray | None:
+    """counts += total + the members of seg[:i + 1], i = (N - base) >> shift, for
+    each N of the sorted ns. Many N read a running count of seg, which costs
+    about a gap count per 512 bytes and is returned; few count the gaps."""
+    if ns.size > seg.size >> 9:
+        if run is None:  # in place: cumsum to int32 would cast a copy first
+            run = seg.astype(np.int32)
+            np.cumsum(run, out=run)
+        for c in range(0, ns.size, _QUERIES):
+            i = (ns[c:c + _QUERIES] - base) >> shift
+            counts[c:c + i.size] += run[i]
+        counts += total
+    else:
+        start, q = 0, total
+        for c, end in enumerate((((ns - base) >> shift) + 1).tolist()):
+            q += int(np.count_nonzero(seg[start:end]))
+            counts[c] += q
+            start = end
+    return run
 
 
 def count_series(table: SieveTable, checkpoints: Sequence[int]) -> CountSeries:
     """Exact member counts of [0, N] at each checkpoint N, in the given order."""
-    segments = ((lo, table.bits[lo:lo + _SEG]) for lo in range(0, table.limit + 1, _SEG))
-    return _count_segments(segments, table.limit, checkpoints)
+    def fill(todo, counts):
+        total = 0
+        for lo in range(0, int(todo[-1]) + 1 if todo.size else 0, _SEG):
+            seg = table.bits[lo:lo + _SEG]
+            i, j = np.searchsorted(todo, [lo, lo + seg.size])
+            _add_counts(seg, todo[i:j], lo, 0, counts[i:j], total)
+            total += int(np.count_nonzero(seg))
+
+    return _count_checkpoints(table.limit, checkpoints, fill)
 
 
 def _set_s2_counts(todo: np.ndarray, counts: np.ndarray) -> None:
@@ -373,23 +377,7 @@ def _set_s2_counts(todo: np.ndarray, counts: np.ndarray) -> None:
         j = 0
         while (first := (4 * lo + 1) << j) <= top:
             i0, i1 = np.searchsorted(todo, [first, (4 * (lo + seg.size) + 1) << j])
-            # many N read a running count of the segment, few count the gaps
-            # between them
-            if i1 - i0 > seg.size >> 9:
-                if run is None:  # in place: cumsum to int32 would cast a copy first
-                    run = seg.astype(np.int32)
-                    np.cumsum(run, out=run)
-                for c in range(i0, i1, _QUERIES):
-                    t = (todo[c:min(c + _QUERIES, i1)] - first) >> (j + 2)  # t - lo
-                    counts[c:c + t.size] += run[t]
-                counts[i0:i1] += total
-            elif i1 > i0:
-                start, q = 0, total
-                ends = ((todo[i0:i1] - first) >> (j + 2)) + 1  # t - lo + 1
-                for c, end in enumerate(ends.tolist(), i0):
-                    q += int(np.count_nonzero(seg[start:end]))
-                    counts[c] += q
-                    start = end
+            run = _add_counts(seg, todo[i0:i1], first, j + 2, counts[i0:i1], total, run)
             j += 1
         total += int(np.count_nonzero(seg))
         run = None  # freed before the next segment is marked

@@ -169,13 +169,13 @@ def devnull_stdout(monkeypatch):
     ("seq count --kind s2 --checkpoints geo:1024:2:{N}", numtheory._s2_count_charge),
     # dense: every N up to 10^4, then 57 k more checkpoints to N
     ("seq count --kind s2nz --checkpoints geo:1:1.0001:{N}", lambda N: numtheory._s2_count_charge(N)
-     + cli._ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
+     + cli._SIEVE_ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
     # geometric from 1000: the most halving levels per checkpoint
     ("seq count --kind s2nz --checkpoints geo:1000:1.01:{N}", lambda N: numtheory._s2_count_charge(N)
-     + cli._ROW_BYTES * len(certify.geometric_checkpoints(1000, 1.01, N))),
+     + cli._SIEVE_ROW_BYTES * len(certify.geometric_checkpoints(1000, 1.01, N))),
     # a morphic kind is charged its rows alone: the level table is a few rows of ints
     ("seq count --kind morphic:{TM} --checkpoints geo:1:1.0001:{N}",
-     lambda N: cli._ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
+     lambda N: cli._MORPHIC_ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
     ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])
@@ -199,8 +199,9 @@ def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
 
 @pytest.mark.parametrize("kind", ["s2", f"morphic:{TM}"], ids=["s2", "thue_morse"])
 def test_seq_count_refuses_before_building_the_schedule(kind, monkeypatch, devnull_stdout):
-    # 10^6 checkpoints need about 183 MiB; the refusal builds none of them,
-    # also where the counts come from a morphism's level table
+    # 10^6 checkpoints need about 78 MiB (s2) or 145 MiB (Thue-Morse); the
+    # refusal builds none of them, also where the counts come from a
+    # morphism's level table
     argv = f"seq count --kind {kind} --checkpoints geo:1:1.000001:1000000".split()
     monkeypatch.setenv("MORPH_MEM_MB", "1")
     main(argv)  # warm
@@ -212,6 +213,13 @@ def test_seq_count_refuses_before_building_the_schedule(kind, monkeypatch, devnu
         tracemalloc.stop()
     assert code == 3
     assert peak < MIB
+
+
+def test_dense_sieve_counts_are_charged_what_they_hold(monkeypatch, devnull_stdout):
+    # 10^6 checkpoints of s2 trace about 70 MiB: the schedule's ints and four
+    # int64 columns, no pair objects
+    monkeypatch.setenv("MORPH_MEM_MB", "100")
+    assert main("seq count --kind s2 --checkpoints geo:1:1.000001:1000000".split()) == 0
 
 
 def test_certify_counts_without_the_table(monkeypatch, tmp_path):

@@ -661,12 +661,23 @@ class TestLevelCounts:
 
     def test_last_block_wraps_int64(self):
         # N_k = (3^k + 1) / 2: the block of levels 32..63 reaches N_63 > 2^64,
-        # so it wraps in int64 and only the shadow tells its good columns
+        # so it wraps in int64, and its lengths are exact up to the first past
+        # max_n, which is at most L max_n for L the longest image
         sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
         assert checkpoints(sys, 63).lengths()[-1] > 2**64
         for symbol in ("a", "b"):
             _assert_level_counts(sys, symbol, 2**50)
             _assert_level_counts(sys, symbol, 2**62 - 1)
+        # at max_n = (2^63 - 1) // L the first length past max_n, N_40 here
+        # and N_35 beside an unreachable z with L = 1000, lies in that wrapped
+        # block; one above it the counts are Python ints
+        wide = make_system("abz", {"a": ["a", "b"], "b": ["b", "b", "b"], "z": ["z"] * 1000}, "a")
+        for sys, L in ((sys, 3), (wide, 1000)):
+            rows = sys.morphism.count_matrix
+            for max_n, dtype in (((2**63 - 1) // L, np.int64), ((2**63 - 1) // L + 1, object)):
+                assert certify._level_counts(rows, 0, (1,), max_n)[0].dtype == dtype
+                for symbol in ("a", "b"):
+                    _assert_level_counts(sys, symbol, max_n)
 
     def test_max_n_beyond_int64(self):
         sys = make_system("ab", {"a": ["a", "b"], "b": ["b", "b", "b"]}, "a")
@@ -676,10 +687,11 @@ class TestLevelCounts:
             _assert_level_counts(sys, "b", max_n)
 
     def test_unreachable_fast_letter(self):
-        # b -> c -> d -> bc grows by the plastic number 1.3247..., so the block
-        # of levels 128..255 is built and wraps int64 from level 153 on. z is
-        # never reached from a, but its float entries of M^128 overflow
-        # (2000^128), and 0 * inf would put NaN where the shadow must decide
+        # b -> c -> d -> bc grows by the plastic number 1.3247..., so 2^60
+        # needs the block of levels 128..255, which passes 2^64 from level 153
+        # on. z is never reached from a, but its image is the longest: L = 2000
+        # puts 2^60 on Python ints, and 5000 on int64 blocks up to M^16, whose
+        # z entries (2000^16) wrap
         letters = ("a", "b", "c", "d", "z")
         rules = {"a": ["a", "b"], "b": ["c"], "c": ["d"], "d": ["b", "c"], "z": ["z"] * 2000}
         sys = make_system(letters, rules, "a")

@@ -238,15 +238,21 @@ def _reference_count_segments(segments, limit, checkpoints):
 
 @pytest.mark.parametrize("x0", [0, 1])
 def test_count_segments_match_loop_reference(x0):
+    # count_series on the x0 = 0 and x0 = 1 tables; the last two schedules put
+    # seg.size >> 9 and one more checkpoint in the second segment, the most
+    # that count the gaps between them and the fewest that read its running count
     N = 3 * _SEG + 5
+    table = (sieve_s2_additive, sieve_s2_nonzero)[x0](N)
     rng = np.random.default_rng(x0)
     dense = geometric_checkpoints(1, 1.0001, N)  # every N up to 10^4, then 44 k more
     edges = [k * _SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)]
     for cps in (dense, geometric_checkpoints(1024, 2.0, N), [], [N], [0, 0],
                 [int(n) for n in rng.permutation(dense[::7] + edges + edges + [N, 0])],
-                list(range(_SEG - 300, _SEG + 300)) + [5, 5, N]):
+                list(range(_SEG - 300, _SEG + 300)) + [5, 5, N],
+                *([_SEG + 3 + 509 * i for i in range(k)] + [N]
+                  for k in (_SEG >> 9, (_SEG >> 9) + 1))):
         want = _reference_count_segments(numtheory._s2_segments(N, x0), N, cps)
-        assert numtheory._count_segments(numtheory._s2_segments(N, x0), N, cps) == want
+        assert count_series(table, cps) == want
 
 
 def test_streamed_counts_reject_like_count_series():
