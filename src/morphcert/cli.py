@@ -154,8 +154,10 @@ def cmd_seq_count(args) -> int:
     size = certify._schedule_size(n0, ratio, max_n)  # charged before the schedule is built
     source = certify.resolve_source(args.kind, args.symbol)
     row_bytes = _SIEVE_ROW_BYTES if source.system is None else _MORPHIC_ROW_BYTES
-    if row_bytes * size > budget:
-        raise ResourceError(f"{size} checkpoints need about {row_bytes * size} bytes, budget is {budget}")
+    # a morphic kind also holds its level tables, up to their ceiling
+    held = row_bytes * size + (0 if source.system is None else words._TABLE_BYTES)
+    if held > budget:
+        raise ResourceError(f"{size} checkpoints need about {held} bytes, budget is {budget}")
     cps = certify.geometric_checkpoints(n0, ratio, max_n)
     if source.system is None:
         entries = source.sieve_counts(max_n, cps, budget - row_bytes * len(cps)).entries

@@ -210,7 +210,8 @@ def _level_rows(images: Sequence[Word], row: list[int]) -> Iterator[list[int]]:
     """
     while True:
         yield row
-        row = [sum(map(row.__getitem__, img)) for img in images]
+        get = row.__getitem__
+        row = [sum(map(get, img)) for img in images]
 
 
 def _apply(images: Sequence[Word], w: Word) -> Word:
@@ -339,9 +340,11 @@ def prefix_count_series(
     return list(zip(checkpoints, _prefix_counts(sys, targets, checkpoints)))
 
 
-# Past this many levels counts stream: alpha > 1 passes 10^30 within a few
-# hundred (Thue-Morse 100, Fibonacci 144); column needs n, chain about sqrt(2n).
-_MAX_LEVELS = 256
+# The level tables of _prefix_counts stop at 20 MiB. A level of d letters is
+# charged 2 (56 + 48 d) bytes: per table a list header, and per entry a slot,
+# a spare slot and a 32 B int (any int below 2^60). chain reaches 10^9 letters
+# within it: 44 722 levels, which trace 12.3 MiB.
+_TABLE_BYTES = 20 * 2**20
 
 
 def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:
@@ -352,23 +355,47 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
     of phi^K(b) are phi^{K-1}(p_{K-1}) ... phi(p_1) p_0 (Dumont and Thomas
     1989): a count adds the whole blocks phi^{k-1}(c) of phi(a) that fit and
     enters the next one a level down, at most K max|phi(a)| additions.
+
+    The length rows come first. The counts stream from _prefix_blocks
+    instead, with no count row built, once those rows show either of:
+    - Linear growth. The increments |phi^k(b)| - |phi^{k-1}(b)| = |phi^{k-1}(w)|,
+      phi(b) = b w, never fall. Once d + 1 of them are equal, every letter of
+      w's blocks lies on a cycle of one-letter images, so the blocks cycle
+      and stream at about 1 ns a letter. This is checked from level 16 on,
+      so that short prefixes of every word descend the table.
+    - A table dearer than the stream. A level takes d + sum |phi(a)|
+      additions in each of the two tables, and an addition costs about 4
+      streamed letters of a word whose blocks do not cycle (130 against
+      28 ns), so 8 for both. A level of descent for one n costs 2 to 8 such
+      letters but counts as 1: such a stream holds its longest block, the
+      table only its levels. The first 32768 letters' worth are free. Nor
+      may the tables pass _TABLE_BYTES, 20 MiB whatever n is. Ints past
+      2^60 widen it, but only in short tables: alpha > 1 words need
+      O(log n) levels, and letters b never reaches stop growing at level 64
+      (_table_rows).
+    A word of polynomial degree l >= 2 needs about n^(1/l) levels, one with
+    alpha > 1 about log n.
     """
     images = sys.morphism.images
-    # the lengths first: past the cap no count row is built before streaming
-    top, len_rows = max(ns, default=0), []
-    for lengths in _level_rows(images, [1] * len(images)):
+    b, d, top = sys.start, len(images), max(ns, default=0)
+    work = 8 * (d + sum(map(len, images))) + len(ns)  # a level's cost in streamed letters
+    last = min((top + 32768) // work, _TABLE_BYTES // (2 * (56 + 48 * d)) - 1)
+    first_linear = max(16, d + 1)
+    len_rows = []
+    for k, lengths in enumerate(_table_rows(sys, [1] * d)):
         len_rows.append(lengths)
-        if lengths[sys.start] >= top:
+        if lengths[b] >= top:
             break
-        if len(len_rows) > _MAX_LEVELS:
+        if k > last or k >= first_linear and (
+                lengths[b] - len_rows[k - 1][b] == len_rows[k - d][b] - len_rows[k - d - 1][b]):
             return _streamed_counts(sys, targets, ns)
-    hits = [int(a in targets) for a in range(len(images))]
-    # levels 0..K-1: level K only decided K
-    count_rows = list(islice(_level_rows(images, hits), len(len_rows) - 1))
+    hits = [int(a in targets) for a in range(d)]
+    del len_rows[-1]  # levels 0..K-1: level K only decided K
+    count_rows = list(islice(_table_rows(sys, hits), len(len_rows)))
     out = []
     for n in ns:
-        a, total = sys.start, 0
-        for lengths, counts in zip(reversed(len_rows[:-1]), reversed(count_rows)):
+        a, total = b, 0
+        for lengths, counts in zip(reversed(len_rows), reversed(count_rows)):
             for c in images[a]:
                 if n <= lengths[c]:
                     a = c
@@ -379,26 +406,37 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
     return out
 
 
+def _table_rows(sys: MorphicSystem, row: list[int]) -> Iterator[list[int]]:
+    """_level_rows from row; past level 64 the letters the start never reaches
+    count with an empty image, so their entries, which no descent reads, stay
+    0 instead of widening a deep table."""
+    images = sys.morphism.images
+    rows = _level_rows(images, row)
+    yield from islice(rows, 64)
+    reach = _reachable(images, [sys.start])
+    yield from _level_rows(tuple(img if a in reach else b"" for a, img in enumerate(images)),
+                           next(rows))
+
+
 def _streamed_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:
-    """As _prefix_counts, in one pass over the prefix from _prefix_blocks."""
-    pending = sorted(set(ns))
-    out: dict[int, int] = {}
-    pos = 0
-    total = 0
-    idx = 0
-    while idx < len(pending) and pending[idx] == 0:
-        out[0] = 0
-        idx += 1
-    for block in _prefix_blocks(sys, pending[-1] if pending else 0):
-        # record any checkpoint inside this block
-        end = pos + len(block)
-        while idx < len(pending) and pending[idx] <= end:
-            part = block[:pending[idx] - pos]
-            out[pending[idx]] = total + sum(part.count(t) for t in targets)
-            idx += 1
-        total += sum(block.count(t) for t in targets)
+    """As _prefix_counts, in one pass over the prefix from _prefix_blocks.
+
+    Each checkpoint counts from the one before it in the same block, so the
+    pass reads every letter once, however many checkpoints a block holds.
+    """
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    out = [0] * len(ns)
+    pos = total = i = 0  # letters before the block, targets among them
+    for block in _prefix_blocks(sys, max(ns)):
+        cut, end = 0, pos + len(block)
+        while i < len(order) and ns[order[i]] <= end:
+            n = ns[order[i]] - pos
+            total += sum(block.count(t, cut, n) for t in targets)
+            cut, out[order[i]] = n, total
+            i += 1
+        total += sum(block.count(t, cut) for t in targets)
         pos = end
-    return [out[n] for n in ns]
+    return out
 
 
 def parse_morphism_spec(text: str) -> MorphicSystem:

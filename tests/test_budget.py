@@ -21,6 +21,7 @@ from morphcert.errors import ResourceError
 from conftest import MORPHISM_DIR
 
 TM = MORPHISM_DIR / "thue_morse.morph"
+CHAIN = MORPHISM_DIR / "chain.morph"
 
 MIB = 2**20
 
@@ -173,16 +174,20 @@ def devnull_stdout(monkeypatch):
     # geometric from 1000: the most halving levels per checkpoint
     ("seq count --kind s2nz --checkpoints geo:1000:1.01:{N}", lambda N: numtheory._s2_count_charge(N)
      + cli._SIEVE_ROW_BYTES * len(certify.geometric_checkpoints(1000, 1.01, N))),
-    # a morphic kind is charged its rows alone: the level table is a few rows of ints
+    # a morphic kind is charged its rows and its level tables' ceiling:
+    # Thue-Morse needs 22 levels, chain to 2^28 23 170 of them
     ("seq count --kind morphic:{TM} --checkpoints geo:1:1.0001:{N}",
-     lambda N: cli._MORPHIC_ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))),
+     lambda N: cli._MORPHIC_ROW_BYTES * len(certify.geometric_checkpoints(1, 1.0001, N))
+     + words._TABLE_BYTES),
+    ("seq count --kind morphic:{CHAIN} --checkpoints geo:1024:2:268435456",
+     lambda N: cli._MORPHIC_ROW_BYTES * 19 + words._TABLE_BYTES),
     ("lr-constant --method sieve --bound {N}", numtheory._s2_count_charge),
     ("lr-constant --method euler --bound {N}", numtheory._euler_charge),
 ])
 def test_mem_env_bounds_the_run(argv, charge, monkeypatch, devnull_stdout):
     N = 3 * MIB
     mb = math.ceil(charge(N) / MIB)
-    argv = argv.format(N=N, TM=TM).split()
+    argv = argv.format(N=N, TM=TM, CHAIN=CHAIN).split()
     monkeypatch.setenv("MORPH_MEM_MB", str(mb - 1))
     assert main(argv) == 3
     monkeypatch.setenv("MORPH_MEM_MB", str(mb))

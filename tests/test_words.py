@@ -1,10 +1,10 @@
 import math
 import random
 import tracemalloc
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morphcert import words
 from morphcert.errors import (
@@ -536,6 +536,11 @@ def _fixed_tail():
     return make_system("abc", {"a": ["a", "b", "c"], "b": ["b"], "c": ["c"]}, "a")
 
 
+def _cycle_after_transient():
+    # blocks b, c c, c c, ...: they cycle from the second level on
+    return make_system("abc", {"a": ["a", "b"], "b": ["c", "c"], "c": ["c"]}, "a")
+
+
 def _grows_into_block():
     # w = xy and phi(x) = xy: a block cut to x has an image equal to the block
     return make_system("axy", {"a": ["a", "x", "y"], "x": ["x", "y"], "y": ["y"]}, "a")
@@ -543,7 +548,8 @@ def _grows_into_block():
 
 class TestPrefixBlocks:
     @pytest.mark.parametrize(
-        "make", [column, chain, _cycle, _two_cycles, _fixed_tail, _grows_into_block]
+        "make", [column, chain, _cycle, _two_cycles, _fixed_tail, _grows_into_block,
+                 _cycle_after_transient]
     )
     def test_around_checkpoints(self, make):
         sys = make()
@@ -640,8 +646,29 @@ def test_checkpoint_lengths_match_iterate(sys, k):
 
 @settings(max_examples=80, deadline=None)
 @given(prolongable_systems(), st.integers(0, 400))
+@example(column(), 5000)
+@example(_cycle_after_transient(), 5000)
 def test_stream_and_counts_match_reference(sys, n):
     _assert_matches_reference(sys, n)
+
+
+@pytest.mark.parametrize("make", [column, _cycle_after_transient, chain])
+def test_dense_streamed_counts_match_reference(make, monkeypatch):
+    # every n <= 5000 twice, shuffled: words whose blocks cycle stream, and
+    # many checkpoints fall in one block; chain streams too, since its table
+    # would descend 100 levels for each of the 10 002 checkpoints
+    sys = make()
+    word = _reference_prefix(sys, 5000)
+    ns = list(range(5001)) * 2
+    random.Random(5).shuffle(ns)
+    streamed = []
+    real = words._prefix_blocks
+    monkeypatch.setattr(words, "_prefix_blocks", lambda s, n: streamed.append(n) or real(s, n))
+    for symbol in sys.symbols():
+        targets = sys.letters_for(symbol)
+        before = list(accumulate((ch in targets for ch in word), initial=0))
+        assert prefix_count_series(sys, symbol, ns) == [(n, before[n]) for n in ns]
+    assert streamed == [5000] * len(sys.symbols())
 
 
 # --- per-letter level rows against the count-vector oracle -----------------
@@ -681,8 +708,9 @@ def _no_stream(sys, n):
 @settings(max_examples=80, deadline=None)
 @given(prolongable_systems(), st.integers(0, 6), st.data())
 def test_descent_matches_prefix_blocks(sys, k, data):
-    # around N_k, repeated and in any order; k <= 6 stays far below the level
-    # cap, so every count here descends the level table
+    # around N_k, repeated and in any order; k <= 6 needs at most 7 levels,
+    # below the 16 from which a linear word streams and far below the work
+    # or bytes at which any word does, so every count here descends the table
     n_k = checkpoints(sys, k).lengths()[-1]
     ns = data.draw(st.lists(st.sampled_from([0, 1, n_k - 1, n_k, n_k + 1]), min_size=1, max_size=8))
     word = b"".join(_prefix_blocks(sys, max(ns)))
@@ -693,6 +721,14 @@ def test_descent_matches_prefix_blocks(sys, k, data):
             want = [(n, sum(word[:n].count(t) for t in targets)) for n in ns]
             assert prefix_count_series(sys, symbol, ns) == want
             assert [count_in_prefix(sys, symbol, n) for n, _ in want] == [c for _, c in want]
+
+
+def _chain_bs(n):
+    # b among the first n letters of chain, a | b | b c | b c c | ...: one b
+    # for each j >= 0 with j(j + 1)/2 <= n - 2
+    if n < 2:
+        return 0
+    return (math.isqrt(8 * (n - 2) + 1) - 1) // 2 + 1
 
 
 def _fib_zeros(n):
@@ -730,18 +766,96 @@ class TestDescent:
             assert count_in_prefix(sys, sys.coding[0], ns[0]) == pairs[0][1]
 
     def test_linear_words_stream(self, monkeypatch):
-        # column has |phi^k(a)| = k + 1: the table reaches n = cap + 1 and no further
-        cap = words._MAX_LEVELS
-        want = count_in_prefix(column(), "b", cap + 1)
+        # column has |phi^k(a)| = k + 1: its increments never grow, so from
+        # level 16 on it streams, after 17 length rows and no count row
+        rows = []
+        level_rows = words._level_rows
+
+        def counted(images, row):
+            for r in level_rows(images, row):
+                rows.append(r)
+                yield r
+
+        monkeypatch.setattr(words, "_level_rows", counted)
+        assert count_in_prefix(column(), "b", 10**6) == 10**6 - 1
+        assert len(rows) == 17
         monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
-        assert count_in_prefix(column(), "b", cap + 1) == want == cap
-        for sys in (column(), chain()):
+        # |phi^16(a)| = 17: the table still reaches that far
+        assert count_in_prefix(column(), "b", 17) == 16
+        for n in (18, 10**6):
             with pytest.raises(AssertionError, match="streamed"):
-                count_in_prefix(sys, "b", 10**6)
-            with pytest.raises(AssertionError, match="streamed"):
-                prefix_count_series(sys, "b", [5, 10**6])
+                count_in_prefix(column(), "b", n)
+        # chain has |phi^k(a)| = 1 + k(k + 1)/2: its increments grow at every
+        # level, so 10^6 letters descend 1414 levels
+        ns = [5, 10**6, 10**6 - 1, 0, 1, 2, 3]
+        want = [(n, _chain_bs(n)) for n in ns]
+        assert prefix_count_series(chain(), "b", ns) == want
+        assert count_in_prefix(chain(), "b", 10**6) == _chain_bs(10**6)
+
+    def test_growth_after_a_long_transient_descends(self, monkeypatch):
+        # a -> a x1, x1 -> x2, ..., x19 -> a: w's blocks are x1, ..., x19, a,
+        # so 20 increments equal 1 before they grow; d + 1 = 21 are needed to
+        # stream, and 10^30 letters (607 levels) descend the table
+        ids = [f"x{i}" for i in range(1, 20)]
+        rules = {"a": ["a", "x1"], ids[-1]: ["a"]}
+        rules.update({u: [v] for u, v in zip(ids, ids[1:])})
+        sys = make_system(["a", *ids], rules, "a")
+        word = _reference_prefix(sys, 10**4)
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        for n in (10**4, 10**30):
+            counts = [count_in_prefix(sys, symbol, n) for symbol in sys.symbols()]
+            assert sum(counts) == n
+        assert count_in_prefix(sys, "a", 10**4) == word.count(0)
+
+    def test_chain_to_1e9_within_the_ceiling(self, monkeypatch):
+        # 10^9 letters take 44 722 levels; with the tables' transients they
+        # stay within the bytes the ceiling states
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        ns = [10**9, 10**9 - 1, 1024]
+        tracemalloc.start()
+        try:
+            got = prefix_count_series(chain(), "b", ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [(n, _chain_bs(n)) for n in ns]
+        assert peak <= words._TABLE_BYTES
+
+    def test_words_past_the_ceiling_stream(self, monkeypatch):
+        # a 1 MiB ceiling holds 2621 of the 2828 levels chain needs for
+        # 4 * 10^6 letters: it streams them, and its peak, the length rows
+        # built so far with it, stays under the ceiling
+        monkeypatch.setattr(words, "_TABLE_BYTES", 2**20)
+        n = 4 * 10**6
         with pytest.raises(AssertionError, match="streamed"):
-            count_in_prefix(column(), "b", cap + 2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(words, "_prefix_blocks", _no_stream)
+                count_in_prefix(chain(), "b", n)
+        ns = [n, 5000, n - 1]
+        tracemalloc.start()
+        try:
+            got = prefix_count_series(chain(), "b", ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [(n, _chain_bs(n)) for n in ns]
+        assert peak <= 2**20
+
+    def test_unreached_letters_stay_narrow(self, monkeypatch):
+        # chain beside z -> z z, which a never reaches: the 14 142 levels of
+        # 10^8 letters would give z ints of up to 14 142 bits
+        sys = make_system("abcz", {
+            "a": ["a", "b"], "b": ["b", "c"], "c": ["c"], "z": ["z", "z"],
+        }, "a")
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        tracemalloc.start()
+        try:
+            got = count_in_prefix(sys, "b", 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == _chain_bs(10**8)
+        assert peak < 8 * 2**20
 
     def test_errors_come_first(self, tm):
         with pytest.raises(DomainError):
