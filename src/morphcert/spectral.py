@@ -17,7 +17,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _letter_index, _level_rows, _reachable
+from .words import Morphism, MorphicSystem, _letter_index, _level_rows, _reached_images
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12
@@ -38,10 +38,16 @@ class IncidenceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def entry(self, i: int, j: int) -> int:
+        _check_indices(self.d, i, j)
         return self.entries[i][j]
 
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(row[j] for row in self.entries) for j in range(self.d))
+
+
+def _check_indices(d: int, *indices) -> None:
+    if not all(type(i) is int and 0 <= i < d for i in indices):
+        raise DomainError(f"letter indices {indices} must be ints in 0..{d - 1}")
 
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
@@ -58,6 +64,7 @@ def matrix_power_count(M: IncidenceMatrix, k: int, source: int, target: int) -> 
     """Exact |phi^k(a_source)|_{a_target} by repeated-squaring matrix power."""
     if k < 0:
         raise DomainError("k must be >= 0")
+    _check_indices(M.d, source, target)
     return _mat_pow(M.entries, k)[target, source]
 
 
@@ -78,10 +85,6 @@ class ComponentDag:
     root_component: int
 
 
-def _successors(m: Morphism) -> dict[int, list[int]]:
-    return {i: sorted(set(m.images[i])) for i in range(m.d)}
-
-
 def perron_value(sub: Sequence[Sequence[float]]) -> float:
     """Spectral radius of a nonnegative matrix via power iteration on (sub + I).
 
@@ -89,8 +92,8 @@ def perron_value(sub: Sequence[Sequence[float]]) -> float:
     Collatz-Wielandt bounds close geometrically.
     """
     a = np.asarray(sub, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("perron_value needs a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DomainError("perron_value needs a nonempty square matrix")
     if (a < 0).any():
         raise DomainError("perron_value needs a nonnegative matrix")
     n = a.shape[0]
@@ -109,7 +112,7 @@ def perron_value(sub: Sequence[Sequence[float]]) -> float:
     )
 
 
-def _cyclicity_of(succ: Mapping[int, list[int]], letters: tuple[int, ...]) -> int:
+def _cyclicity_of(images: Sequence[bytes], letters: tuple[int, ...]) -> int:
     """gcd of cycle lengths inside one SCC (1 for a cycle-free singleton)."""
     inside = set(letters)
     root = letters[0]
@@ -119,7 +122,7 @@ def _cyclicity_of(succ: Mapping[int, list[int]], letters: tuple[int, ...]) -> in
     while frontier:
         nxt = []
         for u in frontier:
-            for v in succ[u]:
+            for v in images[u]:
                 if v not in inside:
                     continue
                 if v in level:
@@ -136,7 +139,7 @@ def cyclicity(m: Morphism, component: Iterable) -> int:
     letters = tuple(_letter_index(m, a) for a in component)
     if not letters:
         raise DomainError("component must be nonempty")
-    return _cyclicity_of(_successors(m), letters)
+    return _cyclicity_of(m.images, letters)
 
 
 def scc_dag(m: Morphism, root) -> ComponentDag:
@@ -146,24 +149,23 @@ def scc_dag(m: Morphism, root) -> ComponentDag:
     """
     _check_dim(m)
     r = _letter_index(m, root)
-    succ = _successors(m)
-    reach = _reachable(m.images, (r,))
+    images = _reached_images(m.images, (r,))
+    reach = [u for u, img in enumerate(images) if img]
     g = nx.DiGraph()
-    g.add_nodes_from(sorted(reach))
-    for u in reach:
-        g.add_edges_from((u, v) for v in succ[u])
+    g.add_nodes_from(reach)
+    g.add_edges_from((u, v) for u in reach for v in images[u])
     comps = sorted((tuple(sorted(c)) for c in nx.strongly_connected_components(g)),
                    key=lambda c: c[0])
     comp_of = {lt: ci for ci, c in enumerate(comps) for lt in c}
     edges = sorted({
         (comp_of[u], comp_of[v])
-        for u in reach for v in succ[u]
+        for u in reach for v in images[u]
         if comp_of[u] != comp_of[v]
     })
     rows = m.count_matrix
     components = tuple(
         Component(
-            c, perron_value([[rows[t][s] for s in c] for t in c]), _cyclicity_of(succ, c)
+            c, perron_value([[rows[t][s] for s in c] for t in c]), _cyclicity_of(images, c)
         )
         for c in comps
     )
@@ -244,8 +246,8 @@ def _fit_constant(
 ) -> float | None:
     """exp(mean residual) of ln(count) - degree*ln(Tk) - Tk*ln(rate), k = 10..20.
 
-    A count is the source's entry of a row of weights, all ones or the targets'
-    indicator, carried to level Tk exactly by the images or by M^T."""
+    A count is the source's entry of a weight row (ones or the targets'
+    indicator) carried to level Tk exactly by its reached images or by M^T."""
     vals = []
     lograte = math.log(rate)
     ks = range(period * 10, period * 20 + 1, period)
@@ -262,7 +264,8 @@ def _fit_constant(
             rows.append(rows[-1] @ power)
         rows = rows[10:]
     else:
-        rows = islice(_level_rows(m.images, weights), 10 * period, 20 * period + 1, period)
+        rows = _level_rows(_reached_images(m.images, (source,)), weights)
+        rows = islice(rows, 10 * period, 20 * period + 1, period)
     for k, row in zip(ks, rows):
         cnt = row[source]
         if cnt <= 0:

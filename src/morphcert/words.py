@@ -143,6 +143,7 @@ class MorphicSystem:
     morphism: Morphism
     start: int
     coding: tuple[str, ...]
+    _reached: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.morphism
@@ -158,6 +159,7 @@ class MorphicSystem:
         for sym in self.coding:
             if not isinstance(sym, str) or not sym or any(ch.isspace() for ch in sym):
                 raise ValidationError(f"bad output symbol {sym!r}")
+        object.__setattr__(self, "_reached", _reached_images(m.images, [self.start]))
 
     @classmethod
     def build(
@@ -191,13 +193,15 @@ class MorphicSystem:
         return hits
 
 
-def _reachable(images: Sequence[Word], letters: Iterable[int]) -> set[int]:
-    """The letters of phi^k(letters) over all k >= 0."""
+def _reached_images(images: Sequence[Word], letters: Iterable[int]) -> tuple[Word, ...]:
+    """images, with b"" for every letter no phi^k(letters) holds: a level walk
+    over them keeps those at 0 from level 1 on. Images are non-erasing, so
+    the reached letters are exactly those with a nonempty image here."""
     reach = frontier = set(letters)
     while frontier:
         frontier = set().union(*map(images.__getitem__, frontier)) - reach
         reach |= frontier
-    return reach
+    return tuple(img if a in reach else b"" for a, img in enumerate(images))
 
 
 def _level_rows(images: Sequence[Word], row: list[int]) -> Iterator[list[int]]:
@@ -238,8 +242,8 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     set bit s of k below the largest table, lowest first, and the largest
     table for the bits left above. Powers of phi commute, so the word is
     phi^k(w); each step reads a level phi^j(w), j < k, and writes a later one.
-    Letters that w never reaches count with an empty image in the lengths and
-    the squared tables, so their lengths stay 0 and their entries empty.
+    The lengths and the squared tables walk _reached_images from w, so the
+    letters w never reaches have lengths 0 and empty entries.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
@@ -248,8 +252,7 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     if k == 0 or not w:
         return w
     used = [(a, w.count(a)) for a in set(w)]
-    reached = _reachable(m.images, w)
-    images = tuple(img if a in reached else b"" for a, img in enumerate(m.images))
+    images = _reached_images(m.images, w)
     sizes = []  # |T_s| for s = 1, 2, 4, ... <= k
     for j, lengths in enumerate(islice(_level_rows(images, [1] * m.d), 1, k + 1), 1):
         total = sum(lengths[a] * n for a, n in used)
@@ -284,11 +287,13 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
     the letters still needed covers them: a block is cut to those before phi
     is applied. Block lengths never fall, and the blocks since the length last
     grew are kept; they are letters already yielded, so memory stays at about
-    (1 + max |phi(a)|) n bytes. Once a new block equals one of them, p levels
-    back, the blocks cycle with period p, so the rest of the prefix repeats
-    the last p blocks; it is yielded in pieces of about 64 KiB. (If phi saw a
-    cut block, fewer letters than its image remain, and the one piece yielded
-    is a prefix of the image all the same.)
+    (1 + max |phi(a)|) n bytes plus 100 B per kept block (the 6-letter blocks
+    of the T = 30030 cycle morphism trace 1.64 MiB at n = 10^5, not 0.76 MiB).
+    Once a new block equals one of them, p levels back, the blocks cycle with
+    period p, so the rest of the prefix repeats the last p blocks; it is
+    yielded in pieces of about 64 KiB. (If phi saw a cut block, fewer letters
+    than its image remain, and the one piece yielded is a prefix of the image
+    all the same.)
     """
     if n <= 0:
         return
@@ -371,8 +376,8 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
       table only its levels. The first 32768 letters' worth are free. Nor
       may the tables pass _TABLE_BYTES, 20 MiB whatever n is. Ints past
       2^60 widen it, but only in short tables: alpha > 1 words need
-      O(log n) levels, and letters b never reaches stop growing at level 64
-      (_table_rows).
+      O(log n) levels, and the tables walk the images b reaches
+      (sys._reached), so the letters b never reaches stay 0.
     A word of polynomial degree l >= 2 needs about n^(1/l) levels, one with
     alpha > 1 about log n.
     """
@@ -382,7 +387,7 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
     last = min((top + 32768) // work, _TABLE_BYTES // (2 * (56 + 48 * d)) - 1)
     first_linear = max(16, d + 1)
     len_rows = []
-    for k, lengths in enumerate(_table_rows(sys, [1] * d)):
+    for k, lengths in enumerate(_level_rows(sys._reached, [1] * d)):
         len_rows.append(lengths)
         if lengths[b] >= top:
             break
@@ -391,7 +396,7 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
             return _streamed_counts(sys, targets, ns)
     hits = [int(a in targets) for a in range(d)]
     del len_rows[-1]  # levels 0..K-1: level K only decided K
-    count_rows = list(islice(_table_rows(sys, hits), len(len_rows)))
+    count_rows = list(islice(_level_rows(sys._reached, hits), len(len_rows)))
     out = []
     for n in ns:
         a, total = b, 0
@@ -404,18 +409,6 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
                 total += counts[c]
         out.append(total + hits[a] if n else total)  # n is 0 or 1 here
     return out
-
-
-def _table_rows(sys: MorphicSystem, row: list[int]) -> Iterator[list[int]]:
-    """_level_rows from row; past level 64 the letters the start never reaches
-    count with an empty image, so their entries, which no descent reads, stay
-    0 instead of widening a deep table."""
-    images = sys.morphism.images
-    rows = _level_rows(images, row)
-    yield from islice(rows, 64)
-    reach = _reachable(images, [sys.start])
-    yield from _level_rows(tuple(img if a in reach else b"" for a, img in enumerate(images)),
-                           next(rows))
 
 
 def _streamed_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]) -> list[int]:

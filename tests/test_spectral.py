@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import islice
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -107,6 +108,20 @@ class TestMatrixPowerCount:
         with pytest.raises(DomainError):
             matrix_power_count(tm, -1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [-1, True, 5, 1.0, "a"])
+    def test_rejects_bad_letter_indices(self, bad):
+        # numpy would wrap -1 to the last letter, give a whole row for True
+        # and raise IndexError for 5
+        fib = incidence_matrix(fibonacci().morphism)
+        with pytest.raises(DomainError):
+            matrix_power_count(fib, 2, bad, 0)
+        with pytest.raises(DomainError):
+            matrix_power_count(fib, 2, 0, bad)
+        with pytest.raises(DomainError):
+            fib.entry(bad, 0)
+        with pytest.raises(DomainError):
+            fib.entry(0, bad)
+
     def test_count_vector_series(self):
         fib = incidence_matrix(fibonacci().morphism)
         series = count_vector_series(fib, 0, 6)
@@ -132,6 +147,10 @@ class TestPerronValue:
             perron_value([[1, -1], [0, 1]])
         with pytest.raises(DomainError):
             perron_value([[1, 2, 3]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError):
+            perron_value(np.zeros((0, 0)))
 
 
 class TestCyclicity:
@@ -584,6 +603,27 @@ def test_fit_steps_by_m_to_the_t_when_cheaper(monkeypatch, lengths, period, walk
     heads = [f"c{j}_0" for j in range(len(lengths))]
     _assert_fits_match_walk(m, [("a", "a"), ("a", "c0_1"), ("c0_0", "c0_1")]
                             + [("a", h) for h in heads])
+
+
+def test_fit_walks_only_reached_letters(monkeypatch):
+    # chain beside z -> z z, which a never reaches: from level 1 on the G
+    # fit's walk keeps z at 0, and G is chain's own
+    m = make_morphism("abcz", {"a": ["a", "b"], "b": ["b", "c"], "c": ["c"], "z": ["z", "z"]})
+    walk, rows = spectral._level_rows, []
+
+    def counted(images, row):
+        for k, r in enumerate(walk(images, row)):
+            rows.append((k, r))
+            yield r
+
+    monkeypatch.setattr(spectral, "_level_rows", counted)
+    g = growth_class(m, "a")
+    lg = letter_growth_class(m, "a", "c")
+    assert max(k for k, _ in rows) == 20 and all(r[3] == 0 for k, r in rows if k)
+    monkeypatch.undo()
+    assert (g, lg) == (growth_class(chain().morphism, "a"),
+                       letter_growth_class(chain().morphism, "a", "c"))
+    _assert_fits_match_walk(m, [("a", b) for b in "abc"] + [("z", "z")])
 
 
 def test_period_1_fits_match_walk():

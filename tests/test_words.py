@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -139,6 +140,21 @@ class TestMorphicSystem:
             MorphicSystem.build(fibonacci().morphism, "b")
         with pytest.raises(ValidationError):
             MorphicSystem.build(swap(), "a")
+
+    def test_reached_images_are_derived(self):
+        # the images the start reaches are kept with the system but are not
+        # part of its value: equality, hash and repr ignore them, and
+        # dataclasses.replace computes them again for the new start
+        sys = _chain_beside_z()
+        other = _chain_beside_z()
+        assert sys._reached == sys.morphism.images[:3] + (b"",)
+        object.__setattr__(other, "_reached", ())
+        assert sys == other and hash(sys) == hash(other)
+        assert "_reached" not in repr(sys) and repr(sys) == repr(other)
+        from_z = dataclasses.replace(sys, start=3)
+        assert from_z._reached == (b"", b"", b"", b"\x03\x03")
+        assert from_z != sys
+        assert dataclasses.replace(other, coding=("a", "b", "b", "z"))._reached == sys._reached
 
 
 def _reference_iterate(m: Morphism, w: bytes, k: int) -> bytes:
@@ -541,6 +557,11 @@ def _cycle_after_transient():
     return make_system("abc", {"a": ["a", "b"], "b": ["c", "c"], "c": ["c"]}, "a")
 
 
+def _column_beside_z():
+    # column, and z -> z z, which a never reaches
+    return make_system("abz", {"a": ["a", "b"], "b": ["b"], "z": ["z", "z"]}, "a")
+
+
 def _grows_into_block():
     # w = xy and phi(x) = xy: a block cut to x has an image equal to the block
     return make_system("axy", {"a": ["a", "x", "y"], "x": ["x", "y"], "y": ["y"]}, "a")
@@ -652,7 +673,7 @@ def test_stream_and_counts_match_reference(sys, n):
     _assert_matches_reference(sys, n)
 
 
-@pytest.mark.parametrize("make", [column, _cycle_after_transient, chain])
+@pytest.mark.parametrize("make", [column, _cycle_after_transient, _column_beside_z, chain])
 def test_dense_streamed_counts_match_reference(make, monkeypatch):
     # every n <= 5000 twice, shuffled: words whose blocks cycle stream, and
     # many checkpoints fall in one block; chain streams too, since its table
@@ -729,6 +750,13 @@ def _chain_bs(n):
     if n < 2:
         return 0
     return (math.isqrt(8 * (n - 2) + 1) - 1) // 2 + 1
+
+
+def _chain_beside_z():
+    # chain, and z -> z z, which a never reaches
+    return make_system("abcz", {
+        "a": ["a", "b"], "b": ["b", "c"], "c": ["c"], "z": ["z", "z"],
+    }, "a")
 
 
 def _fib_zeros(n):
@@ -840,6 +868,29 @@ class TestDescent:
             tracemalloc.stop()
         assert got == [(n, _chain_bs(n)) for n in ns]
         assert peak <= 2**20
+
+    def test_unreached_letters_count_with_empty_images(self, monkeypatch):
+        # |phi^k(a)| = 1 + k(k + 1)/2: the tables for these n end below, at
+        # and above level 64, and every row past level 0 of both tables has
+        # z at 0, where z -> z z alone would give it 2^k
+        sys = _chain_beside_z()
+        ns = [1 + 30 * 31 // 2, 1 + 64 * 65 // 2, 1 + 64 * 65 // 2 + 1, 1 + 100 * 101 // 2]
+        word = _reference_prefix(sys, max(ns))
+        rows, level_rows = [], words._level_rows
+
+        def counted(images, row):
+            for k, r in enumerate(level_rows(images, row)):
+                rows.append((k, r))
+                yield r
+
+        monkeypatch.setattr(words, "_level_rows", counted)
+        monkeypatch.setattr(words, "_prefix_blocks", _no_stream)
+        for symbol in sys.symbols():
+            want = [(n, word[:n].count(sys.letters_for(symbol)[0])) for n in ns]
+            assert prefix_count_series(sys, symbol, ns) == want
+            assert [count_in_prefix(sys, symbol, n) for n in ns] == [c for _, c in want]
+        assert max(k for k, _ in rows) == 100
+        assert all(r[3] == 0 for k, r in rows if k)
 
     def test_unreached_letters_stay_narrow(self, monkeypatch):
         # chain beside z -> z z, which a never reaches: the 14 142 levels of
