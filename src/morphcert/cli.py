@@ -115,11 +115,18 @@ def cmd_seq_gen(args) -> int:
     else:
         if args.format == "bits" and any(s not in ("0", "1") for s in system.symbols()):
             raise ValidationError("--format bits needs a coding onto symbols 0 and 1")
-        symbols = words.fixed_point_stream(system, args.N)
+        # the letters as bytes, coded by one translate where the symbols allow
+        data = b"".join(words._prefix_blocks(system, args.N))
         if args.format == "ascii":
-            sys.stdout.write("".join(symbols) + "\n")
+            table = words._symbol_table(system.coding)
+            if table is None:
+                sys.stdout.write("".join([system.coding[ch] for ch in data]))
+            else:
+                sys.stdout.write(data.translate(table).decode("latin-1"))
+            sys.stdout.write("\n")
             return EXIT_OK
-        bits = np.frombuffer("".join(symbols).encode("ascii"), np.uint8) - ord("0")
+        bits = np.frombuffer(data.translate(words._symbol_table(system.coding, ord("0"))), np.uint8)
+        del data
     # block by block, so the output costs O(block) beside the table
     blocks = (bits[lo:lo + numtheory._BLOCK] for lo in range(0, bits.size, numtheory._BLOCK))
     if args.format == "ascii":

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -26,6 +26,7 @@ Word = bytes
 MAX_LETTERS = 256
 DEFAULT_ITERATE_CAP = 10**8
 _TABLE_LETTERS = 2**20  # iterate's image tables, all powers together
+_STEP_WIDTH = 8  # longest image _block_step translates; past it, the join
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -122,6 +123,8 @@ class Morphism:
 
 def _letter_index(m: Morphism, a) -> int:
     """Accept a letter identifier or a raw index; return the index."""
+    if isinstance(a, bool):  # an int to isinstance, but no letter
+        raise ValidationError(f"letter {a!r} is neither an identifier nor an index")
     if isinstance(a, int):
         if not 0 <= a < m.d:
             raise ValidationError(f"letter index {a} outside alphabet of size {m.d}")
@@ -229,6 +232,44 @@ def _apply(images: Sequence[Word], w: Word) -> Word:
     ])
 
 
+def _block_step(images: Sequence[Word]) -> Callable[[Word], Word]:
+    """w -> phi(w) in a few bytes passes, for words of the letters with a
+    nonempty image here.
+
+    With L the longest image, table p sends a letter to byte p of its image,
+    or to a filler byte that no image holds if the image is shorter. phi(w)
+    is out[p::L] = w.translate(table p) for p < L in one bytearray(L |w|),
+    then out.translate(None, filler); images all of length L need no filler
+    and no delete. At most two buffers of up to L |w| bytes live at once
+    (the bytearray and the delete's result, then that result and its bytes
+    copy), so it peaks at about |w| + 2 L |w| bytes, as _apply does. It
+    falls back to _apply when no byte is free for the filler (256 letters
+    with uneven images) or when L passes _STEP_WIDTH: on uneven images the
+    step took 0.5 to 0.9 of the join's time at L = 8, and up to 1.25 of it
+    at L = 10 and 1.5 at L = 12.
+    """
+    width = max(map(len, images))
+    free = set(range(MAX_LETTERS)).difference(*images)
+    uniform = all(len(img) in (0, width) for img in images)
+    if width > _STEP_WIDTH or not (uniform or free):
+        return partial(_apply, images)
+    filler = bytes([min(free, default=0)])
+    tables = [
+        b"".join(img[p:p + 1] or filler for img in images).ljust(MAX_LETTERS, filler)
+        for p in range(width)
+    ]
+
+    def step(w: Word) -> Word:
+        out = bytearray(width * len(w))
+        for p, table in enumerate(tables):
+            out[p::width] = w.translate(table)
+        if not uniform:
+            out = out.translate(None, filler)
+        return bytes(out)
+
+    return step
+
+
 def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP) -> Word:
     """Return phi^k(w), refusing to materialize more than max_len letters.
 
@@ -285,19 +326,26 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
     The fixed point is b . w . phi(w) . phi^2(w) ... with phi(b) = b w, so each
     block is the image of the one before. phi is non-erasing, so the image of
     the letters still needed covers them: a block is cut to those before phi
-    is applied. Block lengths never fall, and the blocks since the length last
-    grew are kept; they are letters already yielded, so memory stays at about
-    (1 + max |phi(a)|) n bytes plus 100 B per kept block (the 6-letter blocks
-    of the T = 30030 cycle morphism trace 1.64 MiB at n = 10^5, not 0.76 MiB).
-    Once a new block equals one of them, p levels back, the blocks cycle with
-    period p, so the rest of the prefix repeats the last p blocks; it is
-    yielded in pieces of about 64 KiB. (If phi saw a cut block, fewer letters
-    than its image remain, and the one piece yielded is a prefix of the image
-    all the same.)
+    is applied. phi is _block_step over the images b reaches (sys._reached),
+    built once per call: L + 2 bytes passes for images of at most
+    _STEP_WIDTH letters, L = max |phi(a)| (Thue-Morse streams at about 5 ns
+    a letter, against 22 ns for the join), and _apply's join past that
+    width or when 256 reached letters with uneven images leave no filler
+    byte. Block lengths never fall, and the blocks since the length last
+    grew are kept; they are letters already yielded, so memory stays at
+    about (1 + max |phi(a)|) n bytes (the step's bytearray holds L |w|
+    bytes for a block w of at most n/2 letters) plus 100 B per kept block
+    (the 6-letter blocks of the T = 30030 cycle morphism trace 1.64 MiB at
+    n = 10^5, not 0.76 MiB). Once a new block equals one of them, p levels
+    back, the blocks cycle with period p, so the rest of the prefix repeats
+    the last p blocks; it is yielded in pieces of about 64 KiB. (If phi saw
+    a cut block, fewer letters than its image remain, and the one piece
+    yielded is a prefix of the image all the same.)
     """
     if n <= 0:
         return
     images = sys.morphism.images
+    step = _block_step(sys._reached)
     yield bytes([sys.start])
     need = n - 1
     block = images[sys.start][1:]
@@ -306,7 +354,7 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
         block = block[:need]
         yield block
         need -= len(block)
-        image = _apply(images, block[:need])
+        image = step(block[:need])
         if len(image) != len(block):
             seen.clear()
         seen[block] = len(seen)
@@ -324,8 +372,20 @@ def fixed_point_stream(sys: MorphicSystem, n: int) -> list[str]:
     """First n output symbols of psi(lim phi^i(b)). Prefix-stable in n."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    coding = sys.coding
-    return [coding[ch] for ch in b"".join(_prefix_blocks(sys, n))]
+    data = b"".join(_prefix_blocks(sys, n))
+    table = _symbol_table(sys.coding)
+    if table is None:
+        coding = sys.coding
+        return [coding[ch] for ch in data]
+    return list(data.translate(table).decode("latin-1"))
+
+
+def _symbol_table(coding: Sequence[str], zero: int = 0) -> bytes | None:
+    """The bytes.translate table sending letter a to ord(coding[a]) - zero,
+    or None if some symbol is not one character below U+0100."""
+    if all(len(s) == 1 and ord(s) < 256 for s in coding):
+        return bytes(ord(s) - zero for s in coding).ljust(MAX_LETTERS, b"\0")
+    return None
 
 
 def count_in_prefix(sys: MorphicSystem, symbol: str, n: int) -> int:
@@ -369,11 +429,15 @@ def _prefix_counts(sys: MorphicSystem, targets: Sequence[int], ns: Sequence[int]
       and stream at about 1 ns a letter. This is checked from level 16 on,
       so that short prefixes of every word descend the table.
     - A table dearer than the stream. A level takes d + sum |phi(a)|
-      additions in each of the two tables, and an addition costs about 4
-      streamed letters of a word whose blocks do not cycle (130 against
-      28 ns), so 8 for both. A level of descent for one n costs 2 to 8 such
-      letters but counts as 1: such a stream holds its longest block, the
-      table only its levels. The first 32768 letters' worth are free. Nor
+      additions in each of the two tables, charged 4 streamed letters each,
+      so 8 for both, and a level of descent for one n is charged 1: such a
+      stream holds its longest block, the table only its levels. The
+      charges were set against the per-letter join. Since _block_step, a
+      streamed letter of a word whose blocks do not cycle takes 5 to 16 ns
+      on the samples, an addition 210 to 320 ns and a level of descent about
+      100 ns, so the table is charged 3 to 6 times too little; no count of
+      perfbench's morphic-stream would pick otherwise at 3 times the charge,
+      so it stays. The first 32768 letters' worth are free. Nor
       may the tables pass _TABLE_BYTES, 20 MiB whatever n is. Ints past
       2^60 widen it, but only in short tables: alpha > 1 words need
       O(log n) levels, and the tables walk the images b reaches

@@ -87,13 +87,37 @@ class TestSeqGen:
 
     def test_bits_coding_checked_before_streaming(self, capsys, monkeypatch):
         streamed = []
-        monkeypatch.setattr(words, "fixed_point_stream", lambda *a: streamed.append(a))
+        for name in ("fixed_point_stream", "_prefix_blocks"):
+            monkeypatch.setattr(words, name, lambda *a: streamed.append(a))
         code, _, err = run(
             capsys, "seq", "gen", "--kind", f"morphic:{COLUMN}", "-N", "20000000",
             "--format", "bits",
         )
         assert (code, streamed) == (2, [])
         assert "0 and 1" in err
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in MORPHISM_DIR.glob("*.morph")))
+    def test_morphic_gen_matches_stream(self, name, capsysbinary):
+        # the CLI codes the prefix bytes itself, one translate where it can
+        path = MORPHISM_DIR / f"{name}.morph"
+        system = words.parse_morphism_file(path)
+        for n in (1, 7, 8, 4097, 3 * 2**16 + 5):
+            symbols = words.fixed_point_stream(system, n)
+            assert main(["seq", "gen", "--kind", f"morphic:{path}", "-N", str(n)]) == 0
+            assert capsysbinary.readouterr().out == ("".join(symbols) + "\n").encode()
+            if set(symbols) <= {"0", "1"}:
+                argv = ["seq", "gen", "--kind", f"morphic:{path}", "-N", str(n), "--format", "bits"]
+                assert main(argv) == 0
+                bits = np.array(symbols, dtype=np.uint8)
+                want = np.packbits(bits, bitorder="little").tobytes()
+                assert capsysbinary.readouterr().out == want
+
+    def test_multi_character_coding_ascii(self, capsysbinary, tmp_path):
+        path = tmp_path / "coded.morph"
+        path.write_text("letters: a b\nstart: a\na -> a b\nb -> a\ncoding: a=xy b=\u03b1\n",
+                        encoding="utf-8")
+        assert main(["seq", "gen", "--kind", f"morphic:{path}", "-N", "5"]) == 0
+        assert capsysbinary.readouterr().out == "xy\u03b1xyxy\u03b1\n".encode()
 
     def test_threads_flag_is_inert(self, capsys):
         base = run(capsys, "seq", "gen", "--kind", "s2", "-N", "50")

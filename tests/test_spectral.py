@@ -21,7 +21,14 @@ from morphcert.spectral import (
     scc_dag,
     symbol_growth_class,
 )
-from morphcert.words import Alphabet, Morphism, MorphicSystem, iterate, parse_morphism_file
+from morphcert.words import (
+    Alphabet,
+    Morphism,
+    MorphicSystem,
+    is_prolongable,
+    iterate,
+    parse_morphism_file,
+)
 
 from conftest import (
     GOLDEN,
@@ -270,6 +277,24 @@ class TestGrowthClass:
                 (k - kbar) ** 2 for k, _ in pts
             )
             assert abs(slope) < 1e-3, f"{name}: residual drift {slope}"
+
+
+@pytest.mark.parametrize("letter", [True, False])
+def test_bool_letters_are_refused(letter):
+    # isinstance(True, int) holds, but a bool names no letter; taken as an
+    # index, True would give letter 1's class (alpha 1.618..., G 0.7236)
+    m = fibonacci().morphism
+    calls = [
+        lambda: growth_class(m, letter),
+        lambda: letter_growth_class(m, letter, "a"),
+        lambda: letter_growth_class(m, "a", letter),
+        lambda: cyclicity(m, ["a", letter]),
+        lambda: scc_dag(m, letter),
+        lambda: is_prolongable(m, letter),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="neither an identifier nor an index"):
+            call()
 
 
 class TestLetterGrowthClass:

@@ -108,6 +108,14 @@ class TestMorphism:
         sw = swap()
         assert not is_prolongable(sw, "a") and not is_prolongable(sw, "b")
 
+    def test_rejects_bool_letters(self):
+        m = fibonacci().morphism
+        for letter in (True, False):
+            with pytest.raises(ValidationError):
+                m.image(letter)
+            with pytest.raises(ValidationError):
+                MorphicSystem.build(m, letter)
+
 
 class TestMorphicSystem:
     def test_build_defaults_identity_coding(self):
@@ -609,6 +617,145 @@ class TestPrefixBlocks:
         for cut in (n - 1, n, 65536 * 3 + 7):
             assert "".join(fixed_point_stream(sys, cut)) == word[:cut]
         assert count_in_prefix(sys, "b", n) == word[:n].count("b")
+
+
+# --- the translate block step -----------------------------------------------
+
+
+@st.composite
+def step_images(draw):
+    """Images as _block_step gets them: b"" for the letters never reached,
+    all of one length or uneven, some longer than _STEP_WIDTH."""
+    d = draw(st.integers(1, 12))
+    reached = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    width = draw(st.integers(1, words._STEP_WIDTH + 3))
+    uniform = draw(st.booleans())
+    ids = st.sampled_from(reached)
+    images = [b""] * d
+    for a in reached:
+        size = width if uniform else draw(st.integers(1, width))
+        images[a] = bytes(draw(st.lists(ids, min_size=size, max_size=size)))
+    return images, bytes(draw(st.lists(ids, max_size=300)))
+
+
+@st.composite
+def wide_systems(draw):
+    """Prolongable systems with images up to _STEP_WIDTH + 3 letters long and
+    an unreached letter z, coded onto 0 and 1."""
+    letters = "abcdz"
+    ids = st.sampled_from("abcd")
+    width = draw(st.integers(2, words._STEP_WIDTH + 3))
+    sizes = st.just(width) if draw(st.booleans()) else st.integers(1, width)
+    rules = {"a": ["a"] + draw(st.lists(ids, min_size=width - 1, max_size=width - 1))}
+    for lid in "bcd":
+        size = draw(sizes)
+        rules[lid] = draw(st.lists(ids, min_size=size, max_size=size))
+    rules["z"] = ["z", "a"]
+    coding = {lid: draw(st.sampled_from("01")) for lid in letters}
+    return make_system(letters, rules, "a", coding)
+
+
+def _apply_calls(monkeypatch):
+    calls = []
+    real = words._apply
+    monkeypatch.setattr(words, "_apply", lambda images, w: calls.append(len(w)) or real(images, w))
+    return calls
+
+
+def _every_letter_reached(uniform):
+    # x0 -> x0 x1 and x_i -> x_{5i+1} x_{5i+2} (indices mod 256), one letter
+    # shorter on odd i unless uniform: all 256 byte values are letters that
+    # b reaches, and every one of them is among the first 2000 letters
+    ids = [f"x{i}" for i in range(256)]
+    rules = {ids[0]: [ids[0], ids[1]]}
+    for i in range(1, 256):
+        image = [ids[(5 * i + 1) % 256], ids[(5 * i + 2) % 256]]
+        rules[ids[i]] = image if uniform or i % 2 == 0 else image[:1]
+    return make_system(ids, rules, "x0")
+
+
+class TestBlockStep:
+    @settings(max_examples=200, deadline=None)
+    @given(step_images())
+    def test_step_is_the_join(self, drawn):
+        images, w = drawn
+        want = b"".join(images[ch] for ch in w)
+        assert words._block_step(images)(w) == words._apply(images, w) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_systems(), st.integers(0, 3000))
+    def test_blocks_match_reference(self, sys, n):
+        # every n cuts the last block; the stream and the counts read the blocks
+        word = _reference_prefix(sys, n)
+        assert b"".join(_prefix_blocks(sys, n)) == word
+        assert fixed_point_stream(sys, n) == [sys.coding[ch] for ch in word]
+        for symbol in sys.symbols():
+            want = sum(sys.coding[ch] == symbol for ch in word)
+            assert count_in_prefix(sys, symbol, n) == want
+
+    def test_no_free_byte_joins(self, monkeypatch):
+        # 256 reached letters and uneven images leave no byte for the filler
+        sys = _every_letter_reached(uniform=False)
+        calls = _apply_calls(monkeypatch)
+        for n in (1, 2, 3, 300, 5000):
+            assert b"".join(_prefix_blocks(sys, n)) == _reference_prefix(sys, n)
+        assert calls and len(set(_reference_prefix(sys, 2000))) == 256
+
+    def test_uniform_wide_alphabet_translates(self, monkeypatch):
+        # every image has two letters, so no filler is needed
+        sys = _every_letter_reached(uniform=True)
+        calls = _apply_calls(monkeypatch)
+        for n in (1, 2, 3, 300, 5000):
+            assert b"".join(_prefix_blocks(sys, n)) == _reference_prefix(sys, n)
+        assert calls == [] and len(set(_reference_prefix(sys, 2000))) == 256
+
+    def test_long_images_join(self, monkeypatch):
+        sys = MorphicSystem.build(_long_image(), "a")
+        assert len(sys.morphism.images[0]) > words._STEP_WIDTH
+        calls = _apply_calls(monkeypatch)
+        assert b"".join(_prefix_blocks(sys, 5000)) == _reference_prefix(sys, 5000)
+        assert calls
+
+    def test_samples_never_join(self, tm, fib, monkeypatch):
+        calls = _apply_calls(monkeypatch)
+        for sys in (tm, fib):
+            word = _reference_prefix(sys, 10**5)
+            assert fixed_point_stream(sys, 10**5) == [sys.coding[ch] for ch in word]
+        assert calls == []
+
+    @pytest.mark.parametrize("coding", [
+        {"a": "0", "b": "1"},      # one character: one translate
+        {"a": "\xe9", "b": "b"},   # Latin-1 past ASCII, still one translate
+        {"a": "ab", "b": "c"},     # several characters
+        {"a": "α", "b": "1"}, # past U+00FF
+    ])
+    def test_stream_codings(self, coding):
+        sys = make_system("ab", {"a": ["a", "b"], "b": ["a"]}, "a", coding)
+        word = _reference_prefix(sys, 5000)
+        got = fixed_point_stream(sys, 5000)
+        assert got == [sys.coding[ch] for ch in word]
+        assert all(type(s) is str for s in got)
+
+    @pytest.mark.parametrize("make", [
+        thue_morse, fibonacci, doubling,
+        # uneven images of up to _STEP_WIDTH letters: the filler and its delete
+        lambda: make_system("abc", {"a": list("abcbcbcb"), "b": ["c"], "c": ["b", "a"]}, "a"),
+    ])
+    def test_traced_peak_within_the_bound(self, make):
+        # at most two buffers of max|phi(a)| |w| bytes live in a step, for a
+        # block w of at most n/2 letters
+        sys = make()
+        bound = 1 + max(map(len, sys.morphism.images))
+        for n in (3 * 10**5, 2**20 + 3):
+            tracemalloc.start()
+            try:
+                for block in _prefix_blocks(sys, n):
+                    pass
+                del block
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * n, (n, peak / n)
 
 
 # --- properties -------------------------------------------------------------
