@@ -10,7 +10,9 @@ sum it over the halvings of each checkpoint. B'(N) is B(N) less 0 and the
 squares m^2 <= N whose m has no prime factor 1 (mod 4). The x <= y tables are
 their oracle. diff_bound_check reads the x <= y segments of both sieves side
 by side. The Euler product sieves odd numbers only, half a byte per integer
-up to P.
+up to P, striking the mask one cache-sized segment at a time with the primes
+up to sqrt(P) (Bays and Hudson, BIT 17, 1977). multiplicativity_check scans
+blocks of (p, q) rows and takes gcds only where the bits disagree.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _BLOCK = 1 << 16
 # The additive sieve marks [0, N] in segments of this length: long enough that
 # the per-row bounds are paid for by many points, short enough to stay in L2.
 _SEG = 4 * _BLOCK
+# The prime mask is struck in segments of this many odd numbers (a 512 KiB
+# byte mask); longer ones leave L2, shorter ones pay more slices per prime.
+_PRIME_SEG = 1 << 19
 # Streamed counts answer checkpoint queries this many at a time, so their
 # transients stay small whatever the schedule.
 _QUERIES = 1 << 12
@@ -99,15 +104,20 @@ def _s2_count_charge(N: int) -> int:
 
 def _multiplicative_charge(N: int) -> int:
     # the int8 accumulator, which becomes the byte map in place, the int64
-    # primes p = 3 (mod 4) up to sqrt(N), and the final pass's int64 n and
-    # lowest-bit blocks, beside the previous block's pair while rebuilt
-    return N + 1 + 8 * _pi_bound(math.isqrt(N)) + 24 * min(_BLOCK, N + 1) + _OVERHEAD
+    # primes p = 3 (mod 4) up to sqrt(N), and the final pass's bool keep
+    # pattern and one block's zero test; per multiple of _BLOCK / 4, its
+    # int64 n and lowest-bit values and three bool columns
+    sparse = N // (_BLOCK >> 2) + 1
+    return N + 1 + 8 * _pi_bound(math.isqrt(N)) + 2 * min(_BLOCK, N + 1) + 19 * sparse + _OVERHEAD
 
 
 def _euler_charge(P: int) -> int:
     # the odd-only prime mask, the int64 indices of primes p = 3 (mod 4) and
-    # their float64 factors
-    return (P + 1) // 2 + 16 * _pi_bound(P) + _OVERHEAD
+    # their float64 factors; to strike it, the base mask to sqrt(P), and per
+    # base prime two int64 values and two list entries (a pointer and an int
+    # object each)
+    R = math.isqrt(P)
+    return (P + 1) // 2 + 16 * _pi_bound(P) + (R + 1) // 2 + 96 * _pi_bound(R) + _OVERHEAD
 
 
 def _diff_charge(N: int) -> int:
@@ -288,7 +298,11 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     odd) or -1 (e even), so the sum is zero iff each divides n to an even power.
     At most one prime above sqrt(N) divides n, and only once; the odd part of n
     is (-1)^(sum of v_p(n) over all p = 3 (mod 4)) mod 4, so members are the
-    zeros of the sum whose odd part is 1 (mod 4).
+    zeros of the sum whose odd part is 1 (mod 4). That last test reads one
+    bool pattern over a block: the odd part of n = lo + i, lo a multiple of
+    _BLOCK, is 3 (mod 4) iff i = 3 * 2^j (mod 4 * 2^j) for 2^j the lowest set
+    bit of i, which holds while 4 * 2^j < _BLOCK; the multiples of _BLOCK / 4,
+    where it does not, are tested on n itself.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
@@ -301,14 +315,19 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
             acc[pe::pe] += sign
             pe, sign = pe * p, -sign
     # one pass turns acc into the byte map in place; n = 0 stays a member
+    keep = np.ones(min(_BLOCK, N + 1), dtype=bool)
+    for j in range(_BLOCK.bit_length() - 3):  # 4 * 2^j < _BLOCK
+        keep[3 << j::4 << j] = False
+    n = np.arange(0, N + 1, _BLOCK >> 2, dtype=np.int64)
+    low = np.negative(n)
+    low &= n  # the lowest set bit of n
+    low <<= 1
+    low &= n  # the next bit up: set iff the odd part of n is 3 (mod 4)
+    sparse = (acc[::_BLOCK >> 2] == 0) & (low == 0)
     for lo in range(0, N + 1, _BLOCK):
         blk = acc[lo:lo + _BLOCK]
-        n = np.arange(lo, lo + blk.size, dtype=np.int64)
-        low = np.negative(n)
-        low &= n  # the lowest set bit of n
-        low <<= 1
-        low &= n  # the next bit up: set iff the odd part of n is 3 (mod 4)
-        np.logical_and(blk == 0, low == 0, out=blk.view(np.bool_))
+        np.logical_and(blk == 0, keep[:blk.size], out=blk.view(np.bool_))
+    acc[::_BLOCK >> 2] = sparse
     return SieveTable(N, acc.view(np.uint8), KIND_S2_MULTIPLICATIVE)
 
 
@@ -440,9 +459,28 @@ def _prime_mask(P: int) -> np.ndarray:
     """odd[i] = True iff 2i + 1 <= P is prime; odd[1::2] are the p = 3 (mod 4)."""
     odd = np.ones((P + 1) // 2, dtype=bool)
     odd[:1] = False
-    for p in range(3, math.isqrt(P) + 1, 2):
-        if odd[p >> 1]:
-            odd[p * p >> 1::p] = False
+    R = math.isqrt(P)
+    if odd.size <= _PRIME_SEG:
+        for p in range(3, R + 1, 2):
+            if odd[p >> 1]:
+                odd[p * p >> 1::p] = False
+        return odd
+    # odd primes p <= R strike one segment at a time, each carrying the index
+    # of its next odd multiple. A prime p already striking has that index
+    # below lo + p, the rest start at p^2 / 2, in the order of p; so as every
+    # p <= seg, the primes that strike a segment are a prefix of the list
+    seg = max(_PRIME_SEG, R)
+    primes = (np.flatnonzero(_prime_mask(R)) * 2 + 1).tolist()
+    nxt = [p * p >> 1 for p in primes]
+    for lo in range(0, odd.size, seg):
+        hi = lo + seg
+        part = odd[lo:hi]
+        for k, p in enumerate(primes):
+            i = nxt[k]
+            if i >= hi:
+                break
+            part[i - lo::p] = False
+            nxt[k] = i + (hi - i + p - 1) // p * p
     return odd
 
 
@@ -503,15 +541,27 @@ def diff_bound_check(
 
 
 def multiplicativity_check(table: SieveTable, bound: int) -> tuple[int, int] | None:
-    """First coprime pair 1 <= p <= q <= bound with s2(p) s2(q) != s2(pq), if any."""
+    """First coprime pair 1 <= p <= q <= bound with s2(p) s2(q) != s2(pq), if any,
+    in (p, q) order: the least p, then the least q.
+
+    The pairs are scanned in blocks of rows p, about _BLOCK pairs each, and
+    gcds are taken only on the pairs whose bits disagree.
+    """
     if bound < 1:
         raise DomainError("bound must be >= 1")
     if bound * bound > table.limit:
         raise DomainError("bound^2 exceeds the table limit")
-    for p in range(1, bound + 1):
-        q = np.arange(p, bound + 1, dtype=np.int64)
-        bad = (table.bits[p] & table.bits[q]) != table.bits[p * q]
-        bad &= np.gcd(q, p) == 1
-        if bad.any():
-            return (p, int(q[bad.argmax()]))
+    bits = table.bits
+    p0 = 1
+    while p0 <= bound:
+        q = np.arange(p0, bound + 1, dtype=np.int64)
+        p = q[:max(1, _BLOCK // q.size), None]  # rows p0.., each read for q >= p0
+        bad = (bits[p] & bits[q]) != bits[p * q]
+        # row-major, so in (p, q) order; a pair with q < p comes after its
+        # mirror (q, p), in the earlier row q of the same block
+        i, j = np.nonzero(bad)
+        ok = np.flatnonzero(np.gcd(p[i, 0], q[j]) == 1)
+        if ok.size:
+            return (int(p[i[ok[0]], 0]), int(q[j[ok[0]]]))
+        p0 += p.shape[0]
     return None

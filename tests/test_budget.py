@@ -47,6 +47,9 @@ CASES = {
     "sieve_s2_multiplicative": (
         _budgeted(numtheory.sieve_s2_multiplicative), numtheory._multiplicative_charge, 10**6),
     "lr_euler_product": (_budgeted(numtheory.lr_euler_product), numtheory._euler_charge, 10**6),
+    # a mask of 1.5 * 10^6 odd numbers, struck in three segments
+    "lr_euler_product segmented": (
+        _budgeted(numtheory.lr_euler_product), numtheory._euler_charge, 3 * 10**6),
     "diff_bound_check": (_budgeted(numtheory.diff_bound_check), numtheory._diff_charge, 10**6),
     "count_s2_additive": (
         lambda n, budget: numtheory.count_s2_additive(n, [n], mem_budget=budget),

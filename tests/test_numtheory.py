@@ -74,6 +74,28 @@ class TestSieves:
             m = sieve_s2_multiplicative(N)
             assert np.array_equal(a.bits, m.bits), N
 
+    @pytest.mark.parametrize("N", [k * (_BLOCK >> 2) + d for k in (1, 4, 5) for d in (-1, 0, 1)])
+    def test_multiplicative_at_keep_pattern_edges(self, N):
+        # the final pass reads a bool pattern over a block, exact off the
+        # multiples of _BLOCK / 4; those are tested on n itself
+        assert np.array_equal(sieve_s2_multiplicative(N).bits, sieve_s2_additive(N).bits), N
+
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 8])
+    def test_multiplicative_fixes_up_with_short_blocks(self, monkeypatch, block):
+        # the pattern is wrong at a multiple n = (block / 4) q of block / 4
+        # only if the sum is 0 there, that is, if a prime q = 3 (mod 4) above
+        # sqrt(N) divides n once; at the real _BLOCK that needs N >= 2^28
+        want = sieve_s2_additive(20000).bits
+        monkeypatch.setattr(numtheory, "_BLOCK", block)
+        for N in (block - 1, block, 3 * block + (block >> 2), 20000):
+            assert np.array_equal(sieve_s2_multiplicative(N).bits, want[:N + 1]), N
+
+    def test_multiplicative_at_fixed_up_positions(self):
+        ns = [c << j for c in (1, 3, 5, 7) for j in range(12, 23)]
+        table = sieve_s2_multiplicative(max(ns))
+        for n in ns:
+            assert table.bit(n) == brute_s2(n), n
+
     def test_nonzero_subset_of_s2(self):
         a = sieve_s2_additive(10**4)
         nz = sieve_s2_nonzero(10**4)
@@ -494,7 +516,9 @@ def full_prime_mask(P):
 
 
 def test_odd_prime_mask_matches_full_mask():
-    for P in [*range(301), 10**6 - 1, 10**6, 10**6 + 1]:
+    # 2^20 k + d: the edges of segments of 2^19 odd numbers
+    edges = [(k << 20) + d for k in (1, 2, 3) for d in range(-3, 4)]
+    for P in [*range(301), 10**6 - 1, 10**6, 10**6 + 1, *edges]:
         got = numtheory._prime_mask(P)
         assert got.dtype == bool
         np.testing.assert_array_equal(got, full_prime_mask(P)[1::2], err_msg=f"P = {P}")
@@ -589,7 +613,7 @@ class TestDiffBound:
 
 
 def double_loop_check(table, bound):
-    """The pair-by-pair loop that the per-p vector check replaced: the oracle."""
+    """The pair-by-pair loop that the blocked vector check replaced: the oracle."""
     bits = table.bits[:bound * bound + 1].tobytes()
     for p in range(1, bound + 1):
         for q in range(p, bound + 1):
@@ -628,6 +652,48 @@ class TestMultiplicativity:
                 bits[flips] ^= 1
             table = SieveTable(clean.limit, bits, "corrupted")
             assert multiplicativity_check(table, bound) == double_loop_check(table, bound), trial
+
+    @pytest.mark.parametrize("block", [64, 4096, _BLOCK])
+    def test_matches_double_loop_across_row_blocks(self, monkeypatch, block):
+        # rows p go in blocks of about `block` pairs, so these bounds end
+        # blocks of one and of several rows, on and off a block edge
+        clean = sieve_s2_additive(200 * 200)
+        monkeypatch.setattr(numtheory, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for bound in (63, 64, 65, 129, 200):
+            for trial in range(12):
+                bits = clean.bits.copy()
+                if trial % 3 == 0:
+                    p, q = (int(v) for v in rng.integers(1, bound + 1, 2))
+                    bits[p * q] ^= 1
+                elif trial % 3 == 1:
+                    flips = rng.integers(0, bound * bound + 1, int(rng.integers(1, 4)))
+                    bits[flips] ^= 1
+                table = SieveTable(clean.limit, bits, "corrupted")
+                want = double_loop_check(table, bound)
+                assert multiplicativity_check(table, bound) == want, (bound, trial)
+
+    def test_skips_a_first_mismatch_that_is_not_coprime(self):
+        # with p, q <= 10, 81 is only 9 * 9 and 90 only 9 * 10: flipping both
+        # makes (9, 9) the first mismatch and (9, 10) the first coprime one
+        table = sieve_s2_additive(100)
+        bits = table.bits.copy()
+        bits[[81, 90]] ^= 1
+        bad = SieveTable(table.limit, bits, "corrupted")
+        assert multiplicativity_check(bad, 10) == double_loop_check(bad, 10) == (9, 10)
+
+    def test_transients_stay_within_a_block(self):
+        table = sieve_s2_multiplicative(9 * 10**6)
+        multiplicativity_check(table, 10)  # fills interpreter caches
+        tracemalloc.start()
+        try:
+            got = multiplicativity_check(table, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is None
+        # the 4.5 * 10^6 pairs at once would take tens of MiB
+        assert peak <= 16 * _BLOCK
 
     def test_rejects(self):
         table = sieve_s2_additive(100)
