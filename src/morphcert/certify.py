@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -156,14 +156,60 @@ class CertificateReport:
         }
 
 
+_LOG_BLOCK = 1 << 14  # entries _backward_logs reverses at a time: 128 KiB
+
+
+def _backward_logs(column: np.ndarray) -> np.ndarray:
+    """np.log of each entry of an int64 or float64 column, read backwards.
+
+    numpy's float64 log runs its SIMD kernel, which differs from the C
+    library's log in the last bit (under AVX-512 on 57 of the ints 1..2^20),
+    only on input it reads with a positive stride. Read backwards, each entry
+    goes through numpy's scalar loop, which calls the C library's log, as
+    math.log does. Each block of entries is copied to float64 in reverse
+    order, so the result comes out forward and contiguous, and no second
+    column-sized array is held: at 2^20 entries one would add 8 MiB to RSS.
+    """
+    out = np.empty(len(column))
+    block = np.empty(min(len(column), _LOG_BLOCK))
+    for i in range(0, len(column), _LOG_BLOCK):
+        part = block[:len(out) - i]
+        part[::-1] = column[i:i + len(part)]
+        np.log(part[::-1], out=out[i:i + len(part)])
+    return out
+
+
+@cache
+def _backward_logs_are_libm() -> bool:
+    """Whether _backward_logs matches math.log in this process.
+
+    The scalar route is numpy's loop choice, not its API, so it is checked
+    once, on a witness where an AVX-512 np.log differs from math.log 11 times.
+    """
+    witness = 1 + np.arange(4096) / 4096
+    want = np.fromiter(map(math.log, witness.tolist()), float, len(witness))
+    return _backward_logs(witness).tobytes() == want.tobytes()
+
+
+def _logs(column: np.ndarray) -> np.ndarray:
+    """math.log of each entry, bit for bit, so that a report's floats do not
+    depend on the host's SIMD log. An int64 or float64 column takes one numpy
+    pass where that pass matches math.log; an object column, whose Python ints
+    may lie past int64 and float64, takes one math.log call per entry."""
+    if column.dtype != object and _backward_logs_are_libm():
+        return _backward_logs(column)
+    return np.fromiter(map(math.log, _values(column)), float, len(column))
+
+
 class _FitPoints(numtheory._Pairs):
     """(first, count) pairs held as two numpy columns, int64 or object.
 
     A report's checkpoints and the fit points are this type. The logdamped
     columns x = ln ln N and y = ln(N/count) are computed on first use and then
     kept, so a fit and its gamma interval on the same points pay for them once.
-    Each distinct log is taken once: x is the log of the ln N column, and on
-    int64 columns y is that same ln N wherever count == 1.
+    Every log is math.log's, bit for bit (_logs). Each distinct log is taken
+    once: x is the log of the ln N column, and on int64 columns y is that same
+    ln N wherever count == 1.
     """
 
     @classmethod
@@ -177,20 +223,19 @@ class _FitPoints(numtheory._Pairs):
 
     @cached_property
     def logdamped_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        # math.log (np.log differs in the last bit) of N/count as int division rounds
-        # it, which float64 division matches below 2^53, where both are exact doubles
-        n, first, counts = len(self), self.first, self.counts
-        ln_n = np.fromiter(map(math.log, _values(first)), float, n)
-        x = np.fromiter(map(math.log, _values(ln_n)), float, n)
+        # the log of N/count as int division rounds it, which float64 division
+        # matches below 2^53, where both are exact doubles
+        first, counts = self.first, self.counts
+        ln_n = _logs(first)
+        x = _logs(ln_n)
         if all(c.dtype == np.int64 and -2**53 < c.min() and c.max() < 2**53
                for c in (first, counts)):
             # N / 1 is the double N, so y is ln N wherever count == 1
             y, other = ln_n, counts != 1
-            ratios = (first / counts)[other]
-            y[other] = np.fromiter(map(math.log, _values(ratios)), float, len(ratios))
+            y[other] = _logs((first / counts)[other])
         else:
             ratios = map(operator.truediv, _values(first), _values(counts))
-            y = np.fromiter(map(math.log, ratios), float, n)
+            y = np.fromiter(map(math.log, ratios), float, len(self))
         return x, y
 
 
@@ -233,9 +278,9 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     # one log per run of equal adjacent counts: an α = 1 word's counts repeat
     counts = points.counts
     bounds = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1], [True])))
-    logs = np.fromiter(map(math.log, _values(counts[bounds[:-1]])), float, len(bounds) - 1)
+    logs = _logs(counts[bounds[:-1]])
     y = np.repeat(logs, np.diff(bounds))
-    design = np.column_stack([np.ones_like(k), np.log(k), k])
+    design = np.column_stack([np.ones_like(k), _logs(k), k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid * resid)))

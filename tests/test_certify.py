@@ -755,7 +755,7 @@ def _ref_fit_polyexp(points):
         raise DomainError("polyexp fit needs strictly increasing k")
     k = np.array(ks, dtype=float)
     y = np.array([math.log(c) for _, c in points])
-    design = np.column_stack([np.ones_like(k), np.log(k), k])
+    design = np.column_stack([np.ones_like(k), [math.log(v) for v in ks], k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid * resid)))
@@ -876,7 +876,8 @@ def test_fit_errors_name_the_first_bad_point():
 
 def test_fits_take_math_log_of_each_int():
     # np.log differs from math.log in the last bit on some integers: ln N at
-    # N = 9170 and 19143, ln ln N at N = 5431, 9204 and 15602
+    # N = 9170 and 19143, ln ln N at N = 5431, 9204 and 15602; polyexp's ln k
+    # column reaches 9170 and 19143 too
     ld = [(n, 1) for n in (5431, 9170, 9204, 15602, 19143, 32581, 33326, 35332)]
     pe = [(k, k) for k in range(4095, 40000)]
     profile = fit_logdamped(certify._FitPoints.of(ld))
@@ -1041,3 +1042,110 @@ def test_polyexp_logs_each_run_once():
             columns = certify._FitPoints(np.arange(1, len(counts) + 1), np.array(counts))
             assert columns.counts.dtype == np.int64
             assert _outcome(fit_polyexp, columns) == want, name
+
+
+# --- the fits' logs: math.log's, in one numpy pass ----------------------------
+
+_WITNESS = 1 + np.arange(4096) / 4096
+
+
+def _math_logs(values):
+    return np.array([math.log(v) for v in values.tolist()], dtype=float)
+
+
+def _assert_logs_bitwise(column, want=None):
+    got = certify._logs(column)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == (_math_logs(column) if want is None else want).tobytes()
+
+
+def _assert_blocks_are_one_backward_pass(column):
+    # on any host, whatever loop numpy picks: a fallback to math.log must not
+    # hide a fault in the blocks
+    whole = np.ascontiguousarray(column, dtype=float)[::-1]
+    assert certify._backward_logs(column).tobytes() == np.log(whole)[::-1].tobytes()
+
+
+@pytest.fixture
+def fresh_log_check():
+    """The once-per-process log check, run again on this test's code."""
+    certify._backward_logs_are_libm.cache_clear()
+    yield
+    certify._backward_logs_are_libm.cache_clear()
+
+
+def test_logs_are_math_log_on_every_int_to_2_21():
+    ints = np.arange(1, 2**21 + 1, dtype=float)
+    want = _math_logs(ints)
+    _assert_logs_bitwise(ints, want)
+    _assert_logs_bitwise(np.arange(1, 2**21 + 1), want)  # int64, as the fits pass counts
+    _assert_blocks_are_one_backward_pass(ints)
+    _assert_logs_bitwise(want[1:])  # ln ln N
+    _assert_logs_bitwise(_WITNESS)
+    # the control: where this host's contiguous np.log differs from math.log
+    # on the witness, it differs on these ints too, so the asserts above show
+    # that _logs does not run the kernel that makes them differ
+    if np.log(_WITNESS).tobytes() != _math_logs(_WITNESS).tobytes():
+        assert np.count_nonzero(np.log(ints) != want) > 0
+
+
+def test_logs_next_to_2_53_and_on_large_int64():
+    rng = random.Random(53)
+    near = np.array([2**53 + d for d in range(-2000, 2000)], dtype=np.int64)
+    _assert_logs_bitwise(near)
+    _assert_logs_bitwise(near.astype(float))
+    _assert_logs_bitwise(_math_logs(near))  # ln ln N as logdamped_xy takes it
+    # int64 counts past 2^53 round to the double math.log(int) takes
+    _assert_logs_bitwise(np.array([rng.randrange(1, 2**63) for _ in range(4000)], dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 4099, certify._LOG_BLOCK,
+                               certify._LOG_BLOCK + 1, 2 * certify._LOG_BLOCK + 7])
+def test_logs_on_views_and_lengths(n):
+    rng = np.random.default_rng(n)
+    base = np.concatenate((rng.uniform(0.5, 2.0, 2 * n + 3), rng.uniform(1, 2**40, 2 * n + 3)))
+    for column in (base[:n], base[::-1][:n], base[::2][:n], base[::-2][:n], base[1::2][:n],
+                   base[3:3 + n], base[-n - 1:-1] if n else base[:0]):
+        assert len(column) == n
+        _assert_logs_bitwise(column)
+        _assert_blocks_are_one_backward_pass(column)
+    _assert_logs_bitwise(rng.integers(1, 2**62, 2 * n + 1)[1::2])
+
+
+def _contiguous_np_log(column):
+    return np.log(np.asarray(column, dtype=float))
+
+
+def _one_ulp_up(column):
+    return np.nextafter(_math_logs(column), np.inf)
+
+
+@pytest.mark.parametrize("fake", [_contiguous_np_log, _one_ulp_up])
+def test_logs_fall_back_when_the_numpy_pass_is_not_math_log(fake, fresh_log_check, monkeypatch):
+    monkeypatch.setattr(certify, "_backward_logs", fake)
+    fake_differs = fake(_WITNESS).tobytes() != _math_logs(_WITNESS).tobytes()
+    assert certify._backward_logs_are_libm() is not fake_differs
+    _assert_logs_bitwise(_WITNESS)
+    rng = random.Random(9)
+    first = [rng.randrange(3, 2**40) for _ in range(3000)] + list(range(9000, 20000))
+    _assert_logdamped_xy_bitwise(first, [rng.randint(1, n) for n in first])
+
+
+def test_column_certificate_logs_are_math_log(monkeypatch):
+    # the goldens print fitted floats, which a 1-ulp log need not move; the
+    # 2^20 checkpoint columns of column's fit must give math.log's x and y
+    seen = []
+
+    def spy(points):
+        seen.append(points)
+        return fit_logdamped(points)
+
+    monkeypatch.setattr(certify, "fit_logdamped", spy)
+    certify_nonmorphic(f"morphic:{MORPHISM_DIR / 'column.morph'}")
+    (points,) = seen
+    assert points.first.dtype == points.counts.dtype == np.int64 and len(points) > 10**6
+    ln_n = _math_logs(points.first)
+    x, y = points.logdamped_xy
+    assert x.tobytes() == _math_logs(ln_n).tobytes()
+    ratios = map(operator.truediv, points.first.tolist(), points.counts.tolist())
+    assert y.tobytes() == np.fromiter(map(math.log, ratios), float, len(points)).tobytes()
