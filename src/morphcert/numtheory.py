@@ -4,11 +4,14 @@ Two permanently independent s2 implementations act as mutual oracles: additive
 marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and Fermat's
 multiplicative criterion on prime valuations. Tables are numpy uint8 byte maps
 over 0..N. The count_s2_* functions never hold an N-byte map, nor the x <= y
-one: n is in s2 iff its odd part is, and an odd member is 4t + 1 with
-t = a^2 + b(b + 1), so they mark this odd quarter map a segment at a time and
-sum it over the halvings of each checkpoint. B'(N) is B(N) less 0 and the
-squares m^2 <= N whose m has no prime factor 1 (mod 4). The x <= y tables are
-their oracle. diff_bound_check reads the x <= y segments of both sieves side
+one: n is in s2 iff its odd part is, and an odd member is 4t + 1, so they
+build this odd quarter map a segment at a time and sum it over the halvings
+of each checkpoint. Each segment takes Fermat's criterion: it starts from a
+tile of the strikes of 3, 7, 9, 11, 19 and 23, a wheel (Pritchard, Acta
+Informatica 17, 1982), and the other powers of the primes p = 3 (mod 4) up to
+sqrt(N) strike it in strided adds. B'(N) is B(N) less 0 and the squares
+m^2 <= N whose m has no prime factor 1 (mod 4). The x <= y tables are their
+oracle. diff_bound_check reads the x <= y segments of both sieves side
 by side. The Euler product sieves odd numbers only, half a byte per integer
 up to P, striking the mask one cache-sized segment at a time with the primes
 up to sqrt(P) (Bays and Hudson, BIT 17, 1977). multiplicativity_check scans
@@ -41,6 +44,15 @@ _SEG = 4 * _BLOCK
 # The prime mask is struck in segments of this many odd numbers (a 512 KiB
 # byte mask); longer ones leave L2, shorter ones pay more slices per prime.
 _PRIME_SEG = 1 << 19
+# The odd quarter map starts each segment from a tile of the strikes of the
+# prime powers p^e <= _WHEEL, p = 3 (mod 4): 3, 7, 9, 11, 19 and 23, whose
+# period is _PERIOD. It is struck in segments of four periods (1.16 MiB):
+# each segment pays a Python step per strike, so on a 2-core x86-64 host one
+# period took 57 % longer and two 20 % longer, while six saved only 4 %. It is
+# counted in slices of _SEG, so that a running count stays at 1 MiB.
+_WHEEL = 23
+_PERIOD = 9 * 7 * 11 * 19 * 23
+_QUARTER_SEG = 4 * _PERIOD
 # Streamed counts answer checkpoint queries this many at a time, so their
 # transients stay small whatever the schedule.
 _QUERIES = 1 << 12
@@ -65,21 +77,16 @@ def _pi_bound(x: int) -> int:
     return math.ceil(x / L * (1 + 1.2762 / L))
 
 
-def _marking_bytes(limit: int, rows: int, area: float) -> int:
-    # one segment; per row its int64 r, r^2, first point and next u, kept
-    # across segments, and 64 B of u-range arithmetic; per point of a batch,
-    # its v (int32 below 2^31, else int64) and int64 n, and numpy's 64 KiB
-    # buffer while it adds v to n. A batch holds at most _BLOCK points or a
-    # segment's, area * L (the annulus it covers) plus one per row, and then
-    # one row, at most the longest
-    L = min(_SEG, limit + 1)
-    points = min(_BLOCK, int(area * L) + rows) + math.isqrt(L) + 1
-    return L + 96 * rows + (16 if limit >= 2**31 else 12) * points + (1 << 16)
-
-
 def _segment_bytes(N: int) -> int:
-    # the x <= y map: an eighth of an annulus, pi/8 < 1/2 points per byte
-    return _marking_bytes(N, math.isqrt(N // 2) + 1, 0.5)
+    # one segment of the x <= y map; per row its int64 r, r^2, first point and
+    # next u, kept across segments, and 64 B of u-range arithmetic; per point
+    # of a batch, its v (int32 below 2^31, else int64) and int64 n, and
+    # numpy's 64 KiB buffer while it adds v to n. A batch holds at most _BLOCK
+    # points or a segment's, L / 2 (an eighth of an annulus, pi/8 < 1/2
+    # points per byte) plus one per row, and then one row, at most the longest
+    L, rows = min(_SEG, N + 1), math.isqrt(N // 2) + 1
+    points = min(_BLOCK, L // 2 + rows) + math.isqrt(L) + 1
+    return L + 96 * rows + (16 if N >= 2**31 else 12) * points + (1 << 16)
 
 
 def _s2_charge(N: int) -> int:
@@ -88,12 +95,19 @@ def _s2_charge(N: int) -> int:
 
 
 def _s2_count_charge(N: int) -> int:
-    # the odd quarter map over t <= (N - 1) / 4, a quarter annulus with
-    # pi/4 < 4/5 points per byte; beside a marked segment, its int32 running
-    # count and one batch of queries, 32 B each with numpy's buffers
+    # the odd quarter map over t <= T = (N - 1) / 4: an int8 segment, struck
+    # and zero-tested in place, and the wheel's tile. Per strike p^e <= 4T + 1
+    # 160 B over a bound that counts every prime p, not just the half that
+    # are 3 (mod 4): pi(sqrt) each for e = 1 and 2, and log2 of them for each
+    # prime to the cube root. A strike holds a (q, t0, sign) tuple with its
+    # ints and list pointers while listed, then its int64 q and next index,
+    # an int8 scalar and, if short, its step and next index as ints: at most
+    # about 130 B. Beside the segment, its int32 running count and one batch
+    # of queries, 32 B each with numpy's buffers
     T = max(N - 1, 0) >> 2
-    L, rows = min(_SEG, T + 1), math.isqrt(T) + 1
-    marking = max(_marking_bytes(T, rows, 0.8), 5 * L + 32 * rows + 32 * _QUERIES)
+    L, top = min(_QUARTER_SEG, T + 1), 4 * T + 1
+    strikes = 2 * _pi_bound(math.isqrt(top)) + top.bit_length() * _pi_bound(round(top ** (1 / 3)) + 1)
+    marking = L + min(_PERIOD, T + 1) + 160 * strikes + 4 * min(_SEG, L) + 32 * _QUERIES
     # then B - B': the odd-only prime mask to sqrt(N), the int64 primes
     # p = 1 (mod 4), the mask of plain roots, their int64 running count, and
     # one batch of roots (floor sqrt's float, int64 and boolean transients)
@@ -209,27 +223,27 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return r
 
 
-def _mark_segments(limit: int, s: int, r: np.ndarray, u: np.ndarray):
+def _mark_segments(limit: int, r: np.ndarray, u: np.ndarray):
     """Yield (lo, seg) over [0, limit] in segments of length _SEG, where seg[i] = 1
-    iff lo + i = r^2 + v(v + s) for a row r and some v >= its start u.
+    iff lo + i = r^2 + v^2 for a row r and some v >= its start u.
 
     r and u are int64 arrays, one entry per row; the rows' first points
-    r^2 + u(u + s) must not decrease, and u is overwritten. seg is a view of one
+    r^2 + u^2 must not decrease, and u is overwritten. seg is a view of one
     reused buffer, valid until the next segment is asked for.
     """
-    # row r marks v from u to the last v with r^2 + v(v + s) < hi, that is
-    # (2v + s)^2 <= 4 (hi - 1 - r^2) + s; the next segment starts one past it,
-    # so each row carries its next v from segment to segment
+    # row r marks v from u to the last v with r^2 + v^2 < hi; the next
+    # segment starts one past it, so each row carries its next v from
+    # segment to segment
     dt = np.int32 if limit < 2**31 else np.int64  # every point and offset fits
     sq = r * r
-    first = sq + u * (u + s)
+    first = sq + u * u
     buf = np.empty(min(_SEG, limit + 1), dtype=np.uint8)
     for lo in range(0, limit + 1, _SEG):
         hi = min(lo + _SEG, limit + 1)
         seg = buf[:hi - lo]
         seg.fill(0)
         k = int(np.searchsorted(first, hi - 1, side="right"))  # rows with a point < hi
-        top = (_isqrt(4 * (hi - 1 - sq[:k]) + s) - s >> 1) + 1
+        top = _isqrt(hi - 1 - sq[:k]) + 1
         cnt = top - u[:k]
         ends = np.cumsum(cnt)
         off = (u[:k] - ends + cnt).astype(dt, copy=False)
@@ -237,14 +251,14 @@ def _mark_segments(limit: int, s: int, r: np.ndarray, u: np.ndarray):
         u[:k] = top
         # the points, rows of about _BLOCK points at a time: v runs over
         # consecutive integers from u within each row, and n - lo is
-        # v(v + s) + r^2 - lo; int64 n, since numpy indexes fastest by intp
+        # v^2 + r^2 - lo; int64 n, since numpy indexes fastest by intp
         a = start = 0
         while a < k:
             b = max(int(np.searchsorted(ends, start + _BLOCK, side="right")), a + 1)
             end = int(ends[b - 1])
             v = np.arange(start, end, dtype=dt)
             v += np.repeat(off[a:b], cnt[a:b])
-            v *= v + s if s else v
+            v *= v
             n = np.repeat(base[a:b], cnt[a:b])
             n += v
             del v
@@ -259,15 +273,65 @@ def _s2_segments(N: int, x0: int):
     """_mark_segments of the x <= y map: seg[i] = 1 iff lo + i = x^2 + y^2 for
     some x0 <= x <= y."""
     x = np.arange(x0, math.isqrt(N // 2) + 1, dtype=np.int64)
-    return _mark_segments(N, 0, x, x.copy())
+    return _mark_segments(N, x, x.copy())
+
+
+def _quarter_strikes(L: int) -> list[tuple[int, int, int]]:
+    """(q, t0, sign) for every prime power q = p^e <= L of a prime p = 3 (mod 4),
+    in increasing q: t0 < q is the t with q | 4t + 1 (4 t0 + 1 is q or 3q), and
+    sign is +1 for e odd, -1 for e even."""
+    strikes = []
+    for p in (np.flatnonzero(_prime_mask(math.isqrt(L))[1::2]) * 4 + 3).tolist():
+        q, s = p, 1
+        while q <= L:
+            strikes.append((q, (q * (q & 3) - 1) >> 2, s))
+            q, s = q * p, -s
+    strikes.sort()
+    return strikes
 
 
 def _quarter_segments(T: int):
-    """_mark_segments of the odd quarter map: seg[i] = 1 iff 4 (lo + i) + 1 is a
-    sum of two squares, for lo + i <= T."""
-    # an odd sum of two squares is (2a)^2 + (2b + 1)^2 = 4 (a^2 + b(b + 1)) + 1
-    a = np.arange(math.isqrt(T) + 1, dtype=np.int64)
-    return _mark_segments(T, 1, a, np.zeros_like(a))
+    """Yield (lo, seg) over t <= T, struck in segments of length _QUARTER_SEG
+    and yielded in slices of _SEG, where seg[i] = 1 iff 4 (lo + i) + 1 is a sum
+    of two squares. seg is a view of one reused buffer, valid until the next
+    slice is asked for."""
+    # n = 4t + 1 is a member iff every prime p = 3 (mod 4) divides it to an
+    # even power, and only the p <= sqrt(4T + 1) need striking: a lone such
+    # prime above it would leave n = 3 (mod 4). Each power p^e adds +1 (e odd)
+    # or -1 (e even) at its multiples, so the sum is zero iff n is a member.
+    # At most 12 distinct primes p = 3 (mod 4) divide an n < 2^63, so the
+    # sum fits in int8
+    strikes = _quarter_strikes(4 * T + 1)
+    w = sum(q <= _WHEEL for q, _, _ in strikes)
+    tile = np.zeros(min(_PERIOD, T + 1), dtype=np.int8)
+    for q, t, s in strikes[:w]:
+        tile[t::q] += s
+    # the other strikes carry their next index, relative to the segment: the
+    # d shorter than a segment are strided adds of int8 scalars (they add
+    # fastest), and the rest hit a segment at most once
+    strikes = strikes[w:]
+    d = sum(q < _QUARTER_SEG for q, _, _ in strikes)
+    q = np.array([q for q, _, _ in strikes], dtype=np.int64)
+    off = np.array([t for _, t, _ in strikes], dtype=np.int64)
+    steps, signs = q[:d].tolist(), [np.int8(s) for _, _, s in strikes]
+    del strikes
+    acc = np.empty(min(_QUARTER_SEG, T + 1), dtype=np.int8)
+    for lo in range(0, T + 1, _QUARTER_SEG):
+        seg = acc[:min(_QUARTER_SEG, T + 1 - lo)]
+        n = seg.size
+        for a in range(0, n, _PERIOD):  # lo is a multiple of the period
+            seg[a:a + _PERIOD] = tile[:n - a]
+        for o, step, s in zip(off[:d].tolist(), steps, signs):
+            strike = seg[o::step]
+            np.add(strike, s, out=strike)
+        for i in (np.flatnonzero(off[d:] < n) + d).tolist():
+            seg[off[i]] += signs[i]
+        off -= n
+        off %= q
+        np.equal(seg, 0, out=seg.view(np.bool_))
+        bits = seg.view(np.uint8)
+        for a in range(0, n, _SEG):  # slices, so that a running count stays small
+            yield lo + a, bits[a:a + _SEG]
 
 
 def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:

@@ -1,11 +1,14 @@
-"""Shared morphism suite, count-vector and N_k oracles and repo paths for the test modules."""
+"""Shared morphism suite, count-vector, N_k and odd quarter map oracles and repo
+paths for the test modules."""
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
 import pytest
 
 from morphcert.errors import DomainError
@@ -41,6 +44,44 @@ def count_vectors(rows: Sequence[Sequence[int]], w: bytes) -> Iterator[list[int]
     while True:
         yield c
         c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
+
+
+def ref_quarter_segments(T: int, length: int = 2**22) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, seg) over t <= T in segments of the given length: seg[i] = 1 iff
+    lo + i = a^2 + b(b + 1) for some a, b >= 0, that is iff 4 (lo + i) + 1 is
+    the odd sum of two squares (2a)^2 + (2b + 1)^2. Additive marking, row a
+    by row: the oracle of numtheory._quarter_segments' strikes."""
+    for lo in range(0, T + 1, length):
+        hi = min(lo + length, T + 1)
+        seg = np.zeros(hi - lo, dtype=np.uint8)
+        a = 0
+        while a * a < hi:
+            # row a marks the b with lo <= a^2 + b(b + 1) < hi, and
+            # b(b + 1) <= x iff b <= (isqrt(4x + 1) - 1) / 2
+            below = lo - 1 - a * a
+            b = np.arange(0 if below < 0 else (math.isqrt(4 * below + 1) + 1) // 2,
+                          (math.isqrt(4 * (hi - 1 - a * a) + 1) + 1) // 2, dtype=np.int64)
+            b *= b + 1
+            b += a * a - lo
+            seg[b] = 1
+            a += 1
+        yield lo, seg
+
+
+def ref_s2_counts(checkpoints: Sequence[int]) -> list[int]:
+    """B(N) at each checkpoint N from ref_quarter_segments: 1 for n = 0, and
+    Q(((N >> j) - 1) >> 2) for the members 2^j (4t + 1) <= N, where Q(t)
+    counts the marked t' <= t."""
+    ts = sorted({((N >> j) - 1) >> 2 for N in checkpoints for j in range(N.bit_length())})
+    Q, total, i = {}, 0, 0
+    for lo, seg in ref_quarter_segments(ts[-1] if ts else 0):
+        start = 0
+        while i < len(ts) and ts[i] < lo + seg.size:
+            end = ts[i] + 1 - lo
+            total += int(np.count_nonzero(seg[start:end]))
+            Q[ts[i]], start, i = total, end, i + 1
+        total += int(np.count_nonzero(seg[start:]))
+    return [1 + sum(Q[((N >> j) - 1) >> 2] for j in range(N.bit_length())) for N in checkpoints]
 
 
 @dataclass(frozen=True)

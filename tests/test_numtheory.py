@@ -10,6 +10,8 @@ from morphcert.certify import geometric_checkpoints
 from morphcert.errors import DomainError, ResourceError
 from morphcert.numtheory import (
     _BLOCK,
+    _PERIOD,
+    _QUARTER_SEG,
     _SEG,
     CountSeries,
     SieveTable,
@@ -25,6 +27,8 @@ from morphcert.numtheory import (
     sieve_s2_multiplicative,
     sieve_s2_nonzero,
 )
+
+from conftest import ref_quarter_segments
 
 # 0.76422365358922066 is the Landau-Ramanujan constant (OEIS A064533)
 LR_CONSTANT = 0.76422365358922066
@@ -152,14 +156,67 @@ def test_segments_match_row_reference(x0, build):
             assert np.array_equal(bits, sieve_s2_multiplicative(N).bits), N
 
 
-@pytest.mark.parametrize("T", list(range(20)) + [
-    k * _SEG + d for k in (1, 2) for d in range(-2, 3)])
-def test_quarter_segments_match_table(T):
-    # the odd quarter map is every fourth byte of the x <= y table, from 1
+def _quarter_map(T: int) -> np.ndarray:
     segments = [(lo, seg.copy()) for lo, seg in numtheory._quarter_segments(T)]
-    assert [lo for lo, _ in segments] == list(range(0, T + 1, _SEG))
-    got = np.concatenate([seg for _, seg in segments])
-    assert np.array_equal(got, sieve_s2_additive(4 * T + 1).bits[1::4]), T
+    assert [lo for lo, _ in segments] == [
+        lo + a for lo in range(0, T + 1, _QUARTER_SEG)
+        for a in range(0, min(_QUARTER_SEG, T + 1 - lo), _SEG)]
+    return np.concatenate([seg for _, seg in segments])
+
+
+@pytest.mark.parametrize("T", list(range(20)) + [
+    k * m + d for m, ks in ((2**18, (1, 2)), (_QUARTER_SEG, (1, 2)), (_PERIOD, (1, 2, 3)))
+    for k in ks for d in range(-2, 3)])
+def test_quarter_segments_match_table(T):
+    # the odd quarter map is every fourth byte of the x <= y table, from 1:
+    # mid-segment and mid-tile (about 2^18 and 2^19), at the segment edges
+    # and where the tile repeats
+    assert _QUARTER_SEG % _PERIOD == 0
+    assert np.array_equal(_quarter_map(T), sieve_s2_additive(4 * T + 1).bits[1::4]), T
+
+
+def test_quarter_segments_match_additive_marking():
+    # the strikes against the marking of t = a^2 + b(b + 1) they replaced
+    T = 3 * _QUARTER_SEG + 7
+    want = np.concatenate([seg for _, seg in ref_quarter_segments(T, 10**6)])
+    assert np.array_equal(_quarter_map(T), want)
+
+
+def test_quarter_map_prime_factor_above_the_strikes():
+    # 4t + 1 = m p with p = 3 (mod 4) a prime above sqrt(4T + 1), which no
+    # strike reaches: m = 3 (mod 4) then has a struck prime to an odd power
+    T = _PERIOD + 2
+    L = 4 * T + 1
+    bits = _quarter_map(T)
+    table = sieve_s2_additive(L).bits
+    odd = numtheory._prime_mask(L // 3)
+    big = [p for p in (np.flatnonzero(odd[1::2]) * 4 + 3).tolist() if p * p > L]
+    for m in (3, 7, 11, 15, 27, 31, 3 * 5 * 5):
+        n = np.array([m * p for p in big if m * p <= L], dtype=np.int64)
+        assert n.size
+        assert not bits[n >> 2].any() and not table[n].any(), m
+    # and 4t + 1 = m p with p = 1 (mod 4) above it: a member iff m is one
+    one = [p for p in (np.flatnonzero(odd[::2]) * 4 + 1).tolist() if p * p > L]
+    for m in (1, 5, 9, 13, 21, 49):
+        n = np.array([m * p for p in one if m * p <= L], dtype=np.int64)
+        assert n.size
+        assert np.all(bits[n >> 2] == table[m]) and np.all(table[n] == table[m]), m
+
+
+def test_quarter_map_prime_power_signs():
+    # 4t + 1 divisible by 27 or 81 (3 and 9 are in the tile, 27 and 81 are
+    # strikes), 49 * 121 (7 and 11 tiled, their squares struck) or 7^4 * 19
+    # (+1 -1 +1 -1 for 7, +1 for 19 from the tile): members and non-members
+    # both, across a segment edge
+    T = _QUARTER_SEG + _PERIOD + 2
+    bits = _quarter_map(T)
+    for q in (27, 81, 49 * 121, 7**4 * 19):
+        t = np.arange((q * (q & 3) - 1) >> 2, T + 1, q)
+        assert np.all((4 * t + 1) % q == 0)
+        t = np.unique(np.concatenate([t[:40], t[-40:], t[np.searchsorted(t, _QUARTER_SEG) - 20:][:40]]))
+        want = [brute_s2(4 * v + 1) for v in t.tolist()]
+        assert bits[t].tolist() == want, q
+        assert 0 < sum(want) < len(want), q
 
 
 @pytest.mark.parametrize("build, count", [
@@ -167,8 +224,10 @@ def test_quarter_segments_match_table(T):
 def test_streamed_counts_match_table(build, count):
     rng = np.random.default_rng(11)
     edges = [k * _SEG + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-    # (N - 1) >> 2 one below, on and past the quarter map's segment edges
-    quarter_edges = [4 * k * _SEG + d for k in (1, 2) for d in range(-3, 6)]
+    # (N - 1) >> 2 one below, on and past the quarter map's slice and
+    # segment edges
+    quarter_edges = [4 * k * m + d for m in (_SEG, _QUARTER_SEG) for k in (1, 2)
+                     for d in range(-3, 6)]
     for N in (0, 1, 64, _SEG - 1, _SEG, 3 * _SEG + 1, *quarter_edges):
         table = build(N)
         inside = [n for n in edges + quarter_edges if n <= N]
@@ -230,9 +289,9 @@ def test_every_integer_counts_hold_no_pair_objects():
 
 
 def test_streamed_counts_match_multiplicative_sieve():
-    N = 5 * _SEG + 3
+    N = 5 * _QUARTER_SEG + 3
     table = sieve_s2_multiplicative(N)
-    cps = (geometric_checkpoints(1, 1.001, N) + [4 * _SEG + d for d in range(-5, 6)]
+    cps = (geometric_checkpoints(1, 1.001, N) + [4 * _QUARTER_SEG + d for d in range(-5, 6)]
            + list(range(N - 300, N + 1)))
     assert count_s2_additive(N, cps) == count_series(table, cps)
 
