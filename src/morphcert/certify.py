@@ -298,6 +298,8 @@ def gamma_confidence(
     level: float = CI_LEVEL,
 ) -> tuple[float, float]:
     """Symmetric t-interval for gamma from the regression slope standard error."""
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level = {level} outside (0, 1)")
     points = _FitPoints.of(points)
     n = len(points)
     if n < 3:

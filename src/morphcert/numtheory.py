@@ -1,15 +1,17 @@
 """Sum-of-two-squares sieves, counting functions, Landau-Ramanujan estimators.
 
 Two permanently independent s2 implementations act as mutual oracles: additive
-marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and Fermat's
-multiplicative criterion on prime valuations. Tables are numpy uint8 byte maps
-over 0..N. The count_s2_* functions never hold an N-byte map, nor the x <= y
-one: n is in s2 iff its odd part is, and an odd member is 4t + 1, so they
-build this odd quarter map a segment at a time and sum it over the halvings
-of each checkpoint. Each segment takes Fermat's criterion: it starts from a
-tile of the strikes of 3, 7, 9, 11, 19 and 23, a wheel (Pritchard, Acta
-Informatica 17, 1982), and the other powers of the primes p = 3 (mod 4) up to
-sqrt(N) strike it in strided adds. B'(N) is B(N) less 0 and the squares
+marking of x^2 + y^2, one cache-sized segment of [0, N] at a time, and
+Fermat's criterion, that n is a member iff every prime p = 3 (mod 4) divides
+it to an even power. Tables are numpy uint8 byte maps over 0..N. n is in s2
+iff its odd part is, and an odd member is 4t + 1, so the criterion is only
+applied to this odd quarter map, a segment at a time. Each segment starts
+from a tile of the strikes of 3, 7, 9, 11, 19 and 23, a wheel (Pritchard,
+Acta Informatica 17, 1982), and the other powers of the primes p = 3 (mod 4)
+up to sqrt(N) strike it in strided adds. The multiplicative table is the
+quarter map written into its 2-adic classes 2^j (4t + 1). The count_s2_*
+functions sum it over the halvings of each checkpoint instead, so they never
+hold an N-byte map, nor the x <= y one. B'(N) is B(N) less 0 and the squares
 m^2 <= N whose m has no prime factor 1 (mod 4). The x <= y tables are their
 oracle. diff_bound_check reads the x <= y segments of both sieves side
 by side. The Euler product sieves odd numbers only, half a byte per integer
@@ -21,6 +23,7 @@ blocks of (p, q) rows and takes gcds only where the bits disagree.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -117,12 +120,8 @@ def _s2_count_charge(N: int) -> int:
 
 
 def _multiplicative_charge(N: int) -> int:
-    # the int8 accumulator, which becomes the byte map in place, the int64
-    # primes p = 3 (mod 4) up to sqrt(N), and the final pass's bool keep
-    # pattern and one block's zero test; per multiple of _BLOCK / 4, its
-    # int64 n and lowest-bit values and three bool columns
-    sparse = N // (_BLOCK >> 2) + 1
-    return N + 1 + 8 * _pi_bound(math.isqrt(N)) + 2 * min(_BLOCK, N + 1) + 19 * sparse + _OVERHEAD
+    # the byte map, and the odd quarter map that is written into it
+    return N + 1 + _s2_count_charge(N)
 
 
 def _euler_charge(P: int) -> int:
@@ -358,41 +357,24 @@ def sieve_s2_nonzero(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTab
 def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> SieveTable:
     """bit(n) = 1 iff every prime p = 3 (mod 4) divides n to an even power.
 
-    For the primes p = 3 (mod 4) up to sqrt(N), multiples of p^e gain +1 (e
-    odd) or -1 (e even), so the sum is zero iff each divides n to an even power.
-    At most one prime above sqrt(N) divides n, and only once; the odd part of n
-    is (-1)^(sum of v_p(n) over all p = 3 (mod 4)) mod 4, so members are the
-    zeros of the sum whose odd part is 1 (mod 4). That last test reads one
-    bool pattern over a block: the odd part of n = lo + i, lo a multiple of
-    _BLOCK, is 3 (mod 4) iff i = 3 * 2^j (mod 4 * 2^j) for 2^j the lowest set
-    bit of i, which holds while 4 * 2^j < _BLOCK; the multiples of _BLOCK / 4,
-    where it does not, are tested on n itself.
+    Every n > 0 is 2^j (4t + 1) or 2^j (4t + 3), and only the first kind can
+    be a member, exactly when 4t + 1 is one: so the table is the odd quarter
+    map, which strikes the primes p = 3 (mod 4) by Fermat's criterion, written
+    into its 2-adic classes. Level j of a slice at lo starts at
+    (4 lo + 1) 2^j and steps by 4 * 2^j; n = 0 is a member, the rest are 0.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
     _check_budget(_multiplicative_charge(N), mem_budget, "multiplicative s2 sieve")
-    p3 = np.flatnonzero(_prime_mask(math.isqrt(N))[1::2]) * 4 + 3
-    acc = np.zeros(N + 1, dtype=np.int8)  # sum of v_p(n) mod 2; < log2(N) so no overflow
-    for p in p3.tolist():
-        pe, sign = p, 1
-        while pe <= N:
-            acc[pe::pe] += sign
-            pe, sign = pe * p, -sign
-    # one pass turns acc into the byte map in place; n = 0 stays a member
-    keep = np.ones(min(_BLOCK, N + 1), dtype=bool)
-    for j in range(_BLOCK.bit_length() - 3):  # 4 * 2^j < _BLOCK
-        keep[3 << j::4 << j] = False
-    n = np.arange(0, N + 1, _BLOCK >> 2, dtype=np.int64)
-    low = np.negative(n)
-    low &= n  # the lowest set bit of n
-    low <<= 1
-    low &= n  # the next bit up: set iff the odd part of n is 3 (mod 4)
-    sparse = (acc[::_BLOCK >> 2] == 0) & (low == 0)
-    for lo in range(0, N + 1, _BLOCK):
-        blk = acc[lo:lo + _BLOCK]
-        np.logical_and(blk == 0, keep[:blk.size], out=blk.view(np.bool_))
-    acc[::_BLOCK >> 2] = sparse
-    return SieveTable(N, acc.view(np.uint8), KIND_S2_MULTIPLICATIVE)
+    bits = np.zeros(N + 1, dtype=np.uint8)
+    bits[0] = 1
+    for lo, seg in _quarter_segments((N - 1) >> 2) if N else ():
+        j = 0
+        while (first := (4 * lo + 1) << j) <= N:
+            level = bits[first::4 << j][:seg.size]
+            level[:] = seg[:level.size]
+            j += 1
+    return SieveTable(N, bits, KIND_S2_MULTIPLICATIVE)
 
 
 def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSeries:
@@ -403,6 +385,11 @@ def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSer
         bad = next((N for N in checkpoints if not 0 <= N <= limit), None)
         if bad is not None:
             raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
+        for N in checkpoints:
+            try:
+                operator.index(N)
+            except TypeError:
+                raise DomainError(f"checkpoint {N} is not an integer") from None
         want = np.array(checkpoints, dtype=np.int64)
     order = np.argsort(want, kind="stable")
     todo = want[order]

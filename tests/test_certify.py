@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,16 @@ class TestGammaConfidence:
         prof = fit_logdamped(pts)
         with pytest.raises(DomainError):
             gamma_confidence(pts[:2], prof)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, math.nan])
+    def test_rejects_levels_outside_unit_interval(self, level, monkeypatch):
+        # refused before scipy is imported; its quantile would make the
+        # interval (nan, nan) or (-inf, inf)
+        pts = logdamped_counts(0.76, 0.5, [2**j for j in range(10, 25)], rounded=True)
+        prof = fit_logdamped(pts)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(DomainError, match="outside"):
+            gamma_confidence(pts, prof, level)
 
 
 class TestTheorem1Verdict:

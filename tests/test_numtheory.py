@@ -52,6 +52,17 @@ def brute_s2_nonzero(n: int) -> int:
     return 0
 
 
+# N = 2^j (4e + 1) + d, e a _SEG slice edge or a _QUARTER_SEG segment edge,
+# j = 0 and 1, d = -1, 0 and 1
+_SLICE_EDGE_SIZES = [((4 * e + 1) << j) + d for e in (_SEG, _QUARTER_SEG) for j in (0, 1)
+                     for d in (-1, 0, 1)]
+
+
+@pytest.fixture(scope="module")
+def additive_to_slice_edges():
+    return sieve_s2_additive(max(_SLICE_EDGE_SIZES)).bits
+
+
 class TestSieves:
     def test_small_membership(self):
         table = sieve_s2_additive(10)
@@ -78,21 +89,11 @@ class TestSieves:
             m = sieve_s2_multiplicative(N)
             assert np.array_equal(a.bits, m.bits), N
 
-    @pytest.mark.parametrize("N", [k * (_BLOCK >> 2) + d for k in (1, 4, 5) for d in (-1, 0, 1)])
-    def test_multiplicative_at_keep_pattern_edges(self, N):
-        # the final pass reads a bool pattern over a block, exact off the
-        # multiples of _BLOCK / 4; those are tested on n itself
-        assert np.array_equal(sieve_s2_multiplicative(N).bits, sieve_s2_additive(N).bits), N
-
-    @pytest.mark.parametrize("block", [1 << 6, 1 << 8])
-    def test_multiplicative_fixes_up_with_short_blocks(self, monkeypatch, block):
-        # the pattern is wrong at a multiple n = (block / 4) q of block / 4
-        # only if the sum is 0 there, that is, if a prime q = 3 (mod 4) above
-        # sqrt(N) divides n once; at the real _BLOCK that needs N >= 2^28
-        want = sieve_s2_additive(20000).bits
-        monkeypatch.setattr(numtheory, "_BLOCK", block)
-        for N in (block - 1, block, 3 * block + (block >> 2), 20000):
-            assert np.array_equal(sieve_s2_multiplicative(N).bits, want[:N + 1]), N
+    @pytest.mark.parametrize("N", _SLICE_EDGE_SIZES)
+    def test_multiplicative_at_quarter_slice_edges(self, N, additive_to_slice_edges):
+        # the last t that level j writes sits on either side of a slice or
+        # segment edge of the odd quarter map
+        assert np.array_equal(sieve_s2_multiplicative(N).bits, additive_to_slice_edges[:N + 1]), N
 
     def test_multiplicative_at_fixed_up_positions(self):
         ns = [c << j for c in (1, 3, 5, 7) for j in range(12, 23)]
@@ -289,11 +290,13 @@ def test_every_integer_counts_hold_no_pair_objects():
 
 
 def test_streamed_counts_match_multiplicative_sieve():
+    # both read the odd quarter map, so the additive table checks its strikes
     N = 5 * _QUARTER_SEG + 3
-    table = sieve_s2_multiplicative(N)
     cps = (geometric_checkpoints(1, 1.001, N) + [4 * _QUARTER_SEG + d for d in range(-5, 6)]
            + list(range(N - 300, N + 1)))
-    assert count_s2_additive(N, cps) == count_series(table, cps)
+    want = count_series(sieve_s2_additive(N), cps)
+    assert count_s2_additive(N, cps) == want
+    assert count_series(sieve_s2_multiplicative(N), cps) == want
 
 
 def _reference_count_segments(segments, limit, checkpoints):
@@ -338,14 +341,19 @@ def test_count_segments_match_loop_reference(x0):
 
 def test_streamed_counts_reject_like_count_series():
     # the first bad checkpoint is named, also past int64, where converting
-    # the checkpoints to an array overflows, and where int64 would truncate
+    # the checkpoints to an array overflows, and where int64 would truncate:
+    # a float in range would be read as the integer below it
     table = sieve_s2_additive(100)
-    for cps, bad in (([101], 101), ([-1], -1), ([5, 101, 7], 101), ([2**63], 2**63),
-                     ([3, 2**64, -1, 100], 2**64), ([0, 100, -2**63 - 1, 2**65], -2**63 - 1),
-                     ([3, 100.5], 100.5), ([-0.5, 7], -0.5)):
+    cases = [(cps, f"checkpoint {bad} outside table range 0..100") for cps, bad in (
+        ([101], 101), ([-1], -1), ([5, 101, 7], 101), ([2**63], 2**63),
+        ([3, 2**64, -1, 100], 2**64), ([0, 100, -2**63 - 1, 2**65], -2**63 - 1),
+        ([3, 100.5], 100.5), ([-0.5, 7], -0.5))]
+    cases += [(cps, f"checkpoint {bad} is not an integer") for cps, bad in (
+        ([10.5], 10.5), ([3, 10.0, 7], 10.0), ([2, np.float64(0.5)], 0.5))]
+    for cps, message in cases:
         with pytest.raises(DomainError) as want:
             count_series(table, cps)
-        assert str(want.value) == f"checkpoint {bad} outside table range 0..100"
+        assert str(want.value) == message
         for count in (count_s2_additive, count_s2_nonzero):
             with pytest.raises(DomainError) as got:
                 count(100, cps)
