@@ -232,7 +232,7 @@ class _FitPoints(numtheory._Pairs):
                for c in (first, counts)):
             # N / 1 is the double N, so y is ln N wherever count == 1
             y, other = ln_n, counts != 1
-            y[other] = _logs((first / counts)[other])
+            y[other] = _logs(first[other] / counts[other])
         else:
             ratios = map(operator.truediv, _values(first), _values(counts))
             y = np.fromiter(map(math.log, ratios), float, len(self))
@@ -242,12 +242,29 @@ class _FitPoints(numtheory._Pairs):
 def _fit_points(points: _FitPoints, min_x: float, what: str):
     if len(points) < MIN_FIT_POINTS:
         raise DomainError(f"{what} needs >= {MIN_FIT_POINTS} points, got {len(points)}")
-    bad_x = points.first < min_x
-    bad = bad_x | (points.counts < 1)
+    first, counts = points.first, points.counts
+    if first.dtype == counts.dtype == np.int64 and first.min() >= min_x and counts.min() >= 1:
+        return  # int64 holds no NaN or inf
+    with np.errstate(invalid="ignore"):  # c - c != 0 holds at NaN and ±inf only
+        bad = np.array([first - first != 0, ~(first >= min_x), counts - counts != 0, ~(counts >= 1)])
     if bad.any():  # name the first bad point
-        if bad_x[bad.argmax()]:
-            raise DomainError(f"{what} needs all first coordinates >= {min_x}")
-        raise DomainError(f"{what} needs all counts >= 1")
+        need = ["finite first coordinates", f"all first coordinates >= {min_x}",
+                "finite counts", "all counts >= 1"][bad[:, bad.any(axis=0).argmax()].argmax()]
+        raise DomainError(f"{what} needs {need}")
+
+
+def _least_squares(y: np.ndarray, columns: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Coefficients and RMS residual of y on the design [1, *columns], filled in
+    place as column_stack lays it out. Each column leaves the list as it is copied
+    in, so one made for the call is freed; the residual is formed and squared in place."""
+    design = np.empty((len(y), 1 + len(columns)))
+    design[:, 0] = 1.0
+    for j in range(1, design.shape[1]):
+        design[:, j] = columns.pop(0)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = design @ coef
+    np.subtract(y, resid, out=resid)
+    return coef, float(np.sqrt(np.mean(np.square(resid, out=resid))))
 
 
 def fit_logdamped(points: Sequence[tuple[float, float]]) -> DensityProfile:
@@ -255,10 +272,7 @@ def fit_logdamped(points: Sequence[tuple[float, float]]) -> DensityProfile:
     points = _FitPoints.of(points)
     _fit_points(points, 3.0, "logdamped fit")
     x, y = points.logdamped_xy
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid * resid)))
+    coef, rms = _least_squares(y, [x])
     return DensityProfile(
         C=math.exp(-float(coef[0])),
         gamma=float(coef[1]),
@@ -274,16 +288,11 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     ks = points.first
     if (ks[1:] <= ks[:-1]).any():
         raise DomainError("polyexp fit needs strictly increasing k")
-    k = ks.astype(float)
     # one log per run of equal adjacent counts: an α = 1 word's counts repeat
     counts = points.counts
     bounds = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1], [True])))
-    logs = _logs(counts[bounds[:-1]])
-    y = np.repeat(logs, np.diff(bounds))
-    design = np.column_stack([np.ones_like(k), _logs(k), k])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid * resid)))
+    y = np.repeat(_logs(counts[bounds[:-1]]), np.diff(bounds))
+    coef, rms = _least_squares(y, [_logs(ks), ks])
     return PolyExpProfile(
         logGp=float(coef[0]),
         m_fit=float(coef[1]),
@@ -305,11 +314,12 @@ def gamma_confidence(
     if n < 3:
         raise DomainError("confidence interval needs >= 3 points")
     x, y = points.logdamped_xy
-    xbar = x.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    resid = y - (-math.log(profile.C) + profile.gamma * x)
+    dev = x - x.mean()  # the deviations of x, then in place the residuals
+    sxx = float(np.sum(np.square(dev, out=dev)))
+    line = np.add(np.multiply(profile.gamma, x, out=dev), -math.log(profile.C), out=dev)
+    resid = np.subtract(y, line, out=line)
     dof = n - 2
-    s2 = float(np.sum(resid * resid)) / dof
+    s2 = float(np.sum(np.square(resid, out=resid))) / dof
     se = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
     if level == CI_LEVEL and dof <= len(_T_QUANTILE):
         tq = _T_QUANTILE[dof - 1]
@@ -506,7 +516,7 @@ def _level_charge(d: int, t: int, k: int, take: int, exact: bool) -> int:
     level matrix, the lengths past it, its target rows and the two returned
     columns; then, as the certificate fits one point per level, the two columns,
     the level numbers, the cached x and y and at most 9 columns the polyexp fit
-    forms at once. A Python int in an object column is charged 40 bytes."""
+    holds at once, lstsq's copies included. A Python int is charged 40 bytes."""
     both = k + take
     forming = d * (k + take + both) + k
     returned = (d + t + 3) * both

@@ -738,12 +738,20 @@ class TestLevelCounts:
 
 # --- fits against the list-comprehension bodies they replaced -----------------
 
+def _finite(v):
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 def _ref_fit_points(points, min_x, what):
     if len(points) < certify.MIN_FIT_POINTS:
         raise DomainError(f"{what} needs >= {certify.MIN_FIT_POINTS} points, got {len(points)}")
     for x, c in points:
+        if not _finite(x):
+            raise DomainError(f"{what} needs finite first coordinates")
         if x < min_x:
             raise DomainError(f"{what} needs all first coordinates >= {min_x}")
+        if not _finite(c):
+            raise DomainError(f"{what} needs finite counts")
         if c < 1:
             raise DomainError(f"{what} needs all counts >= 1")
 
@@ -766,7 +774,8 @@ def _ref_fit_polyexp(points):
         raise DomainError("polyexp fit needs strictly increasing k")
     k = np.array(ks, dtype=float)
     y = np.array([math.log(c) for _, c in points])
-    design = np.column_stack([np.ones_like(k), [math.log(v) for v in ks], k])
+    # ln k of the float column: past 2^53 most ints are no double
+    design = np.column_stack([np.ones_like(k), [math.log(v) for v in k.tolist()], k])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid * resid)))
@@ -795,14 +804,18 @@ def _hex(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def _fields(out):
+    """The fields of a fit or an interval as float.hex strings."""
+    return _hex(out if isinstance(out, tuple) else tuple(out.__dict__.values()))
+
+
 def _outcome(fn, *args):
     """The fields of a fit as float.hex strings, or the error it raises."""
     try:
         out = fn(*args)
     except DomainError as exc:
         return ("error", str(exc))
-    fields = out if isinstance(out, tuple) else tuple(out.__dict__.values())
-    return _hex(fields)
+    return _fields(out)
 
 
 # one flaw in a third of the draws
@@ -895,6 +908,87 @@ def test_fits_take_math_log_of_each_int():
     assert _hex(profile.__dict__.values()) == _hex(_ref_fit_logdamped(ld).__dict__.values())
     assert _hex(gamma_confidence(ld, profile)) == _hex(_ref_gamma_confidence(ld, profile))
     assert _hex(fit_polyexp(pe).__dict__.values()) == _hex(_ref_fit_polyexp(pe).__dict__.values())
+
+
+_REF_FITS = {"fit_logdamped": _ref_fit_logdamped, "fit_polyexp": _ref_fit_polyexp,
+             "gamma_confidence": _ref_gamma_confidence}
+
+
+def _random_morph_text(seed):
+    """A morphism whose images all have 2 or 3 letters, so alpha >= 2."""
+    rng = random.Random(seed)
+    letters = [f"x{i}" for i in range(rng.randint(3, 12))]
+    lines = ["letters: " + " ".join(letters), "start: x0"]
+    for a in letters:
+        image = [rng.choice(letters) for _ in range(rng.randint(2, 3))]
+        lines.append(f"{a} -> " + " ".join(["x0"] + image[1:] if a == "x0" else image))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, symbol, max_n", [
+    ("column", "a", 2**20), ("column", "b", 2**20), ("chain", None, 2**20),
+    ("doubling", None, 2**60), ("random0", None, 2**60), ("random1", None, 2**60),
+    ("random2", None, 2**60), ("triple", "b", 10**40)])
+def test_certificate_fits_match_reference_bitwise(name, symbol, max_n, tmp_path, monkeypatch):
+    # each fit and interval a certificate makes, against column_stack and
+    # y - design @ coef on the same points; column fits 2^20 - 4096 points,
+    # triple's counts and lengths pass int64 and are object columns
+    path = MORPHISM_DIR / f"{name}.morph"
+    if name == "triple":
+        path = tmp_path / "triple.morph"
+        path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n", encoding="utf-8")
+    elif name.startswith("random"):
+        path = tmp_path / f"{name}.morph"
+        path.write_text(_random_morph_text(name), encoding="utf-8")
+    calls = []
+    for fn_name in _REF_FITS:
+        def record(*args, fn=getattr(certify, fn_name), fn_name=fn_name):
+            calls.append((fn_name, args, fn(*args)))
+            return calls[-1][2]
+        monkeypatch.setattr(certify, fn_name, record)
+    certify_nonmorphic(f"morphic:{path}", CertifyConfig(max_n=max_n, symbol=symbol))
+    assert [c[0] for c in calls] == list(_REF_FITS)
+    assert name != "triple" or calls[0][1][0].counts.dtype == object
+    for fn_name, args, got in calls:
+        assert _fields(got) == _fields(_REF_FITS[fn_name](*args)), fn_name
+
+
+def test_fits_match_reference_past_int64():
+    # object N and k past int64, where most ints are no double
+    rng = random.Random(63)
+    big = sorted({2**63 + _uniform_int(rng, 90) for _ in range(600)})
+    points = [(n, rng.randint(1, n)) for n in big]
+    want = _ref_fit_logdamped(points)
+    profile = fit_logdamped(points)
+    assert _fields(profile) == _fields(want)
+    assert _fields(gamma_confidence(points, profile)) == _fields(_ref_gamma_confidence(points, want))
+    assert _outcome(fit_polyexp, points) == _outcome(_ref_fit_polyexp, points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fits_reject_non_finite_points(bad, capfd):
+    # lstsq raised LinAlgError on a NaN or infinite N, after LAPACK wrote to
+    # stderr, and a NaN count gave NaN fields; the error names the first bad
+    # point: a first coordinate of 0 before the bad one, a count of 0 after it
+    ns = [2**j + 2**j // 3 for j in range(12, 24)]
+    for fit, ref in ((fit_logdamped, _ref_fit_logdamped), (fit_polyexp, _ref_fit_polyexp)):
+        firsts = ns if fit is fit_logdamped else range(1, len(ns) + 1)
+        for big in (0, 2**70):  # ints within int64 and past it
+            base = [(x + big, n // 3 + big) for x, n in zip(firsts, ns)]
+            for coord, flaw, named in ((0, None, "finite"), (1, None, "finite"),
+                                       (0, 1, ">="), (1, 1, ">="), (1, -1, "finite")):
+                points = list(base)
+                points[5] = tuple(bad if i == coord else v for i, v in enumerate(points[5]))
+                if flaw is not None:
+                    points[flaw] = (0, 1) if flaw == 1 else (points[-1][0], 0)
+                want = _outcome(ref, points)
+                assert want[0] == "error" and named in want[1], want
+                assert _outcome(fit, points) == want
+                assert _outcome(fit, certify._FitPoints.of(points)) == want
+                if not big:  # float64 columns
+                    floats = certify._FitPoints(*(np.array(c, dtype=float) for c in zip(*points)))
+                    assert _outcome(fit, floats) == want
+    assert capfd.readouterr().err == ""
 
 
 def test_t_quantile_table_is_stdtrit():
@@ -1029,6 +1123,9 @@ def test_logdamped_xy_where_counts_are_1(seed):
         got = fit_logdamped(columns)
         assert _hex(got.__dict__.values()) == _hex(want.__dict__.values()), name
         assert _hex(gamma_confidence(columns, got)) == _hex(_ref_gamma_confidence(points, want)), name
+        assert _outcome(fit_logdamped, points) == _fields(want), name  # object columns
+        pe = [(k, c) for k, c in enumerate(counts, 1)]
+        assert _outcome(fit_polyexp, pe) == _outcome(_ref_fit_polyexp, pe), name
 
 
 def test_polyexp_logs_each_run_once():
