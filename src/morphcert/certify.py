@@ -235,7 +235,10 @@ class _FitPoints(numtheory._Pairs):
             y[other] = _logs(first[other] / counts[other])
         else:
             ratios = map(operator.truediv, _values(first), _values(counts))
-            y = np.fromiter(map(math.log, ratios), float, len(self))
+            try:
+                y = np.fromiter(map(math.log, ratios), float, len(self))
+            except OverflowError:  # an int ratio past the largest double
+                raise DomainError("logdamped fit needs N/count within the float range") from None
         return x, y
 
 
@@ -292,7 +295,10 @@ def fit_polyexp(points: Sequence[tuple[float, float]]) -> PolyExpProfile:
     counts = points.counts
     bounds = np.flatnonzero(np.concatenate(([True], counts[1:] != counts[:-1], [True])))
     y = np.repeat(_logs(counts[bounds[:-1]]), np.diff(bounds))
-    coef, rms = _least_squares(y, [_logs(ks), ks])
+    try:
+        coef, rms = _least_squares(y, [_logs(ks), ks])
+    except OverflowError:  # the design's k column takes an int past the largest double
+        raise DomainError("polyexp fit needs k within the float range") from None
     return PolyExpProfile(
         logGp=float(coef[0]),
         m_fit=float(coef[1]),

@@ -7,12 +7,14 @@ Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +47,32 @@ class _Parser(argparse.ArgumentParser):
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+# a report's checkpoint rows as _dumps lays them out; their fields are digit
+# strings, so plain formatting writes what the JSON encoder would
+_CHECKPOINT_ROW = ',\n    {\n      "N": "%s",\n      "count": "%s"\n    }'
+_NO_CHECKPOINTS = '\n  "checkpoints": [],\n'
+_ROWS_PER_CHUNK = 1 << 14
+
+
+def _report_chunks(report: certify.CertificateReport) -> Iterator[str]:
+    """_dumps(report.to_json_dict()) in pieces, without a dict per checkpoint.
+
+    The rest of the report is dumped with no checkpoints, and the rows are
+    formatted into its empty list a chunk at a time: at 2^20 checkpoints the
+    JSON encoder's indented (pure-Python) pass costs seconds and the dicts a
+    few hundred MiB."""
+    rest = _dumps(dataclasses.replace(report, checkpoints=()).to_json_dict())
+    if not report.checkpoints:
+        yield rest
+        return
+    head, tail = rest.split(_NO_CHECKPOINTS, 1)
+    rows = map(_CHECKPOINT_ROW.__mod__, report.checkpoints)
+    yield head + '\n  "checkpoints": [' + next(rows)[1:]
+    while chunk := "".join(islice(rows, _ROWS_PER_CHUNK)):
+        yield chunk
+    yield "\n  ],\n" + tail
 
 
 # per seq count checkpoint: the schedule's int 32 B, list slot 8 and 8 for
@@ -238,12 +266,12 @@ def cmd_certify(args) -> int:
         mem_budget=_mem_budget(),
     )
     report = certify.certify_nonmorphic(args.source, config)
-    text = _dumps(report.to_json_dict())
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(_report_chunks(report))
         print(f"wrote {args.output} ({report.conclusion})", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_report_chunks(report))
     return EXIT_OK
 
 

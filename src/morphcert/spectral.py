@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
@@ -86,27 +85,39 @@ class ComponentDag:
 
 
 def perron_value(sub: Sequence[Sequence[float]]) -> float:
-    """Spectral radius of a nonnegative matrix via power iteration on (sub + I).
+    """Spectral radius of a finite nonnegative matrix via power iteration on (sub + I).
 
     The +I shift makes any irreducible nonnegative matrix primitive, so the
-    Collatz-Wielandt bounds close geometrically.
+    Collatz-Wielandt bounds close geometrically. A reducible matrix may miss
+    the tolerance and raise NonConvergence.
     """
     a = np.asarray(sub, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise DomainError("perron_value needs a nonempty square matrix")
     if (a < 0).any():
         raise DomainError("perron_value needs a nonnegative matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("perron_value needs finite entries")
     n = a.shape[0]
     b = a + np.eye(n)
     x = np.full(n, 1.0 / n)
+    y, ratios = np.empty(n), np.empty(n)
+    # the iterates are b @ x, y / x and y / sum(y) as numpy forms them, written
+    # into fixed arrays. The bounds are the ends of the sorted ratios: one call
+    # in place of ndarray.min and max and their wrappers. Sorting puts NaN
+    # last, so a NaN ratio (0/0 once an entry of x underflows) keeps hi NaN
+    # and the bounds open, as it keeps ndarray.max NaN. The calls are bound
+    # once: on at most 64 entries, lookups are a share of each iteration
+    matmul, divide, total = np.matmul, np.divide, np.add.reduce
+    sort, item = ratios.sort, ratios.item
     for _ in range(PERRON_MAX_ITER):
-        y = b @ x
-        ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
+        matmul(b, x, y)
+        divide(y, x, ratios)
+        sort()
+        lo, hi = item(0), item(-1)
         if hi - lo <= PERRON_TOL * hi:
             return 0.5 * (lo + hi) - 1.0
-        x = y / y.sum()
+        divide(y, total(y), x)
     raise NonConvergence(
         f"power iteration missed tolerance {PERRON_TOL} after {PERRON_MAX_ITER} iterations"
     )
@@ -203,24 +214,30 @@ def _path_class(dag: ComponentDag, sink: int | None):
     """
     comps = dag.components
     succ: list[list[int]] = [[] for _ in comps]
+    pred: list[list[int]] = [[] for _ in comps]
     for u, v in dag.edges:
         succ[u].append(v)
+        pred[v].append(u)
+    # each component after all it reaches: it joins once its last successor has
+    left = [len(s) for s in succ]
+    order = [u for u, n in enumerate(left) if not n]
+    for u in order:
+        for p in pred[u]:
+            left[p] -= 1
+            if not left[p]:
+                order.append(p)
 
-    # both recursions follow DAG edges, so their depth is at most MAX_DIM
-    @cache
-    def reaches(u: int) -> bool:
-        return sink is None or u == sink or any(map(reaches, succ[u]))
-
-    value = max(c.rho for u, c in enumerate(comps) if reaches(u))
-    weight = [int(reaches(u) and c.rho >= value - ACHIEVE_RTOL * value)
-              for u, c in enumerate(comps)]
-
-    @cache
-    def best(u: int) -> int:  # best weight of a path starting at u
-        return weight[u] + max(map(best, succ[u]), default=0)
+    reaches = [sink is None or u == sink for u in range(len(comps))]
+    for u in order:
+        reaches[u] = reaches[u] or any(reaches[v] for v in succ[u])
+    value = max(c.rho for c, r in zip(comps, reaches) if r)
+    weight = [int(r and c.rho >= value - ACHIEVE_RTOL * value) for c, r in zip(comps, reaches)]
+    best = [0] * len(comps)  # best weight of a path starting at u
+    for u in order:
+        best[u] = weight[u] + max((best[v] for v in succ[u]), default=0)
 
     # a component is on a maximizing path iff the root reaches it along edges
-    # u -> v with best(u) == weight[u] + best(v). A component that misses the
+    # u -> v with best[u] == weight[u] + best[v]. A component that misses the
     # sink weighs 0, and so does all it reaches, so paths through it change
     # neither best nor the period
     root = dag.root_component
@@ -229,11 +246,11 @@ def _path_class(dag: ComponentDag, sink: int | None):
     while stack:
         u = stack.pop()
         for v in succ[u]:
-            if v not in on_max and best(u) == weight[u] + best(v):
+            if v not in on_max and best[u] == weight[u] + best[v]:
                 on_max.add(v)
                 stack.append(v)
     period = math.lcm(*(comps[u].cyclicity for u in on_max if weight[u]))
-    return value, best(root), period
+    return value, best[root], period
 
 
 def _fit_constant(
@@ -283,8 +300,14 @@ def growth_class(m: Morphism, a) -> GrowthClass:
     return GrowthClass(alpha, total - 1, period, G)
 
 
-def _targets_class(dag: ComponentDag, targets) -> tuple[float, int, int, tuple[int, ...]]:
+def _targets_class(
+    dag: ComponentDag, targets, classes: dict | None = None
+) -> tuple[float, int, int, tuple[int, ...]]:
     """(beta, m, T, live targets) for the summed counts of `targets` in phi^k(root).
+
+    A target's class is its component's _path_class, taken once per component
+    from `classes` (component -> class), which is filled as classes are
+    computed, so calls over several target sets of one DAG can share it.
 
     A target is eventually zero, and not live, iff it is unreachable or the
     largest Perron value on its root..target paths is 0. A component with a
@@ -294,12 +317,18 @@ def _targets_class(dag: ComponentDag, targets) -> tuple[float, int, int, tuple[i
     counts vanish for k >= d, while a cycle can be pumped into occurrences
     for infinitely many k. With no live target the class is (0.0, 0, 1, ()).
     """
+    if classes is None:
+        classes = {}
     live = []  # (target, beta, m, T) of the targets that are not eventually zero
     for t in targets:
-        if t in dag.comp_of:
-            beta, total, period = _path_class(dag, dag.comp_of[t])
-            if beta > 0.0:
-                live.append((t, beta, total - 1, period))
+        c = dag.comp_of.get(t)
+        if c is None:
+            continue
+        if c not in classes:
+            classes[c] = _path_class(dag, c)
+        beta, total, period = classes[c]
+        if beta > 0.0:
+            live.append((t, beta, total - 1, period))
     if not live:
         return 0.0, 0, 1, ()
     beta = max(p[1] for p in live)
@@ -356,13 +385,15 @@ def analysis_report(sys: MorphicSystem) -> dict:
         }
         for comp in dag.components
     ]
-    letter_growth = {}
+    letter_growth, classes = {}, {}
     for sym in sys.symbols():
-        beta, deg, _, live = _targets_class(dag, sys.letters_for(sym))
+        beta, deg, _, live = _targets_class(dag, sys.letters_for(sym), classes)
         letter_growth[sym] = {"beta": beta, "m": deg, "eventually_zero": not live}
+    # one str call per distinct entry: a matrix holds a few small counts d^2 times
+    text = {e: str(e) for e in set().union(*M.entries)}
     return {
         "alphabet": list(ids),
-        "incidence_matrix": [[str(e) for e in row] for row in M.entries],
+        "incidence_matrix": [list(map(text.__getitem__, row)) for row in M.entries],
         "components": components,
         "growth": {
             "alpha": alpha,

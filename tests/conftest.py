@@ -1,5 +1,5 @@
-"""Shared morphism suite, count-vector, N_k and odd quarter map oracles and repo
-paths for the test modules."""
+"""Shared morphism suite, count-vector, N_k, Perron value and odd quarter map
+oracles and repo paths for the test modules."""
 
 import math
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pytest
 
-from morphcert.errors import DomainError
+from morphcert.errors import DomainError, NonConvergence
 from morphcert.words import Alphabet, Morphism, MorphicSystem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +44,24 @@ def count_vectors(rows: Sequence[Sequence[int]], w: bytes) -> Iterator[list[int]
     while True:
         yield c
         c = [sum(rows[t][s] * c[s] for s in range(d)) for t in range(d)]
+
+
+def ref_perron_value(sub, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+    """Power iteration on sub + I with numpy's ndarray.min, max and sum: the
+    oracle of spectral.perron_value, float for float, NonConvergence included."""
+    a = np.asarray(sub, dtype=float)
+    n = a.shape[0]
+    b = a + np.eye(n)
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        y = b @ x
+        ratios = y / x
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        if hi - lo <= tol * hi:
+            return 0.5 * (lo + hi) - 1.0
+        x = y / y.sum()
+    raise NonConvergence(f"power iteration missed tolerance {tol} after {max_iter} iterations")
 
 
 def ref_quarter_segments(T: int, length: int = 2**22) -> Iterator[tuple[int, np.ndarray]]:

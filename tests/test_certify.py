@@ -910,6 +910,28 @@ def test_fits_take_math_log_of_each_int():
     assert _hex(fit_polyexp(pe).__dict__.values()) == _hex(_ref_fit_polyexp(pe).__dict__.values())
 
 
+def test_fits_past_the_float_range_raise_domain_error():
+    # Python ints keep N/count and k exactly, but the fits take them as
+    # doubles: past the largest double that is a DomainError, not an overflow
+    ns = [10**400 * j for j in range(1, 12)]
+    for points in ([(n, 7) for n in ns], certify._FitPoints.of([(n, 7) for n in ns])):
+        with pytest.raises(DomainError, match="N/count within the float range"):
+            fit_logdamped(points)
+        with pytest.raises(DomainError, match="N/count within the float range"):
+            gamma_confidence(points, DensityProfile(1.0, 0.5, 0.0, len(ns)))
+        with pytest.raises(DomainError, match="k within the float range"):
+            fit_polyexp(points)
+    # huge N with a ratio in range, and huge counts at small k, still fit
+    assert fit_logdamped([(n, n // 10**300) for n in ns]).gamma == pytest.approx(0.0, abs=1e-9)
+    assert fit_polyexp([(k, 10**400 * k) for k in range(1, 12)]).m_fit == pytest.approx(1.0)
+    # int64 columns at the int64 edge are far inside the float range
+    edge = np.array([2**63 - 1 - 2**40 * j for j in range(11, 0, -1)], dtype=np.int64)
+    points = certify._FitPoints(edge, np.full(len(edge), 3, dtype=np.int64))
+    assert fit_logdamped(points).n_points == len(edge)
+    ks = certify._FitPoints(edge, np.arange(1, len(edge) + 1, dtype=np.int64))
+    assert math.isfinite(fit_polyexp(ks).fit_residual)
+
+
 _REF_FITS = {"fit_logdamped": _ref_fit_logdamped, "fit_polyexp": _ref_fit_polyexp,
              "gamma_confidence": _ref_gamma_confidence}
 

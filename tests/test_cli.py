@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from morphcert import certify, words
+from morphcert import certify, cli, words
 from morphcert.cli import main
 from morphcert.numtheory import sieve_s2_additive, sieve_s2_nonzero
 
@@ -281,6 +283,18 @@ class TestFit:
             assert code == 0, head
             assert json.loads(out)["n_points"] == 10
 
+    def test_counts_past_the_float_range(self, capsys, tmp_path):
+        # N/count past the largest double: one error line and exit code 2;
+        # polyexp indexes the rows by k = 1, 2, ..., so it still fits
+        path = tmp_path / "huge.csv"
+        path.write_text("N,count\n" + "".join(f"{10**400 * j},{j}\n" for j in range(1, 13)))
+        code, out, err = run(capsys, "fit", "--model", "logdamped", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: logdamped fit needs N/count within the float range\n"
+        code, out, _ = run(capsys, "fit", "--model", "polyexp", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["n_points"] == 12
+
     def test_missing_csv(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "fit", "--model", "logdamped", "--input", str(tmp_path / "nope.csv")
@@ -329,6 +343,69 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--source", "collatz")
         assert code == 1
         assert "usage error" in err
+
+
+class TestReportChunks:
+    """The certify report's text is json.dumps of to_json_dict, byte for byte."""
+
+    @staticmethod
+    def assert_dumps_alike(report):
+        if len(report.checkpoints) <= 2**16:
+            want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+            assert "".join(cli._report_chunks(report)) == want
+            return
+        # json.dumps joins the encoder's pieces: hashing them as they come
+        # keeps column's 2^20 rows at about 450 MiB, not 1 GiB
+        want, got = hashlib.sha256(), hashlib.sha256()
+        for piece in json.JSONEncoder(indent=2).iterencode(report.to_json_dict()):
+            want.update(piece.encode())
+        want.update(b"\n")
+        for piece in cli._report_chunks(report):
+            got.update(piece.encode())
+        assert got.hexdigest() == want.hexdigest()
+
+    @pytest.mark.parametrize("source", [
+        "s2", "s2nz", *(f"morphic:morphisms/{stem}.morph" for stem in
+                        ("chain", "column", "doubling", "fibonacci", "thue_morse"))])
+    def test_golden_commands(self, source, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        self.assert_dumps_alike(certify.certify_nonmorphic(source))
+
+    @pytest.mark.parametrize("symbol", ["a", "b"])
+    def test_column_counts(self, symbol):
+        config = certify.CertifyConfig(max_n=2**14, symbol=symbol)
+        report = certify.certify_nonmorphic(f"morphic:{COLUMN}", config)
+        assert len(report.checkpoints) == 2**14
+        self.assert_dumps_alike(report)
+
+    def test_object_columns_past_int64(self, tmp_path):
+        path = tmp_path / "triple.morph"
+        path.write_text("letters: a b\nstart: a\na -> a b\nb -> b b b\n")
+        config = certify.CertifyConfig(max_n=10**30, symbol="b")
+        report = certify.certify_nonmorphic(f"morphic:{path}", config)
+        assert report.checkpoints.first.dtype == object
+        assert report.checkpoints[-1][0] > 2**63
+        self.assert_dumps_alike(report)
+
+    def test_no_checkpoints(self):
+        report = certify.certify_nonmorphic("s2", certify.CertifyConfig(max_n=100))
+        assert not report.checkpoints
+        self.assert_dumps_alike(report)
+        self.assert_dumps_alike(dataclasses.replace(
+            certify.certify_nonmorphic(f"morphic:{FIB}"), checkpoints=()))
+
+    def test_path_with_quotes_and_non_ascii(self, capsys, tmp_path):
+        # the sequence id holds the path: escaped quotes, backslash and \u
+        # escapes sit before the checkpoints in the dump
+        path = tmp_path / 'say "ab\\c" \u00e9\u2713 "checkpoints": [],.morph'
+        path.write_text((MORPHISM_DIR / "fibonacci.morph").read_text())
+        report = certify.certify_nonmorphic(f"morphic:{path}")
+        assert str(path) == report.sequence_id.partition(":")[2]
+        self.assert_dumps_alike(report)
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "certify", "--source", f"morphic:{path}", "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
 
 
 def _loads_scipy(*commands):

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import islice
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morphcert import spectral
-from morphcert.errors import DomainError, ResourceError, ValidationError
+from morphcert.errors import DomainError, NonConvergence, ResourceError, ValidationError
 from morphcert.spectral import (
     MAX_DIM,
     analysis_report,
@@ -42,6 +43,7 @@ from conftest import (
     make_morphism,
     make_system,
     ref_count_matrix,
+    ref_perron_value,
     swap,
     thue_morse,
 )
@@ -158,6 +160,76 @@ class TestPerronValue:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             perron_value(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("sub", [
+        [[1, 0], [0, math.nan]],
+        [[math.inf, 1], [1, 1]],
+        [[math.nan]],
+        np.full((40, 40), math.inf),
+    ])
+    def test_rejects_non_finite(self, sub):
+        with pytest.raises(DomainError, match="finite"):
+            perron_value(sub)
+
+
+# --- perron_value against the ndarray.min/max/sum loop it replaced -------------
+
+def _sample_morphisms():
+    yield from counting_suite()
+    for path in sorted(MORPHISM_DIR.glob("*.morph")):
+        yield path.stem, parse_morphism_file(path).morphism
+
+
+def _random_perron_matrices(count):
+    """Seeded nonnegative integer matrices, d = 1..64, at three densities; a
+    d-cycle keeps each irreducible, so the iteration closes."""
+    rng = np.random.default_rng(20261021)
+    for j in range(count):
+        d = 1 + j % 64
+        a = rng.integers(0, 4, (d, d)) * (rng.random((d, d)) < (0.1, 0.3, 1.0)[j % 3])
+        a[np.arange(d), (np.arange(d) + 1) % d] += 1
+        yield a.tolist()
+
+
+def _assert_same_perron(sub):
+    assert perron_value(sub).hex() == ref_perron_value(sub).hex()
+
+
+def test_perron_value_matches_reference_on_sample_components():
+    for name, m in _sample_morphisms():
+        rows = m.count_matrix
+        for source in range(m.d):
+            for comp in scc_dag(m, source).components:
+                sub = [[rows[t][s] for s in comp.letters] for t in comp.letters]
+                assert comp.rho.hex() == ref_perron_value(sub).hex(), (name, comp)
+
+
+def test_perron_value_matches_reference_on_random_matrices():
+    subs = list(_random_perron_matrices(320))
+    assert {len(sub) for sub in subs} == set(range(1, 65))
+    for sub in subs:
+        _assert_same_perron(sub)
+
+
+def test_perron_value_matches_reference_on_dense_64():
+    rng = np.random.default_rng(64)
+    _assert_same_perron(rng.integers(1, 10, (64, 64)).tolist())
+    _assert_same_perron(np.ones((64, 64), dtype=int).tolist())
+
+
+@pytest.mark.parametrize("sub", [
+    [[1, 0], [1, 1]],  # a Jordan block: the bounds close like 1/k
+    # diag(2, 1) + I: the second entry of x underflows after about 1075
+    # iterations, and its 0/0 ratio must keep the bounds open; numpy sorts
+    # short and long arrays with different kernels
+    [[1, 0], [0, 0]],
+    np.diag([1] + [0] * 39).tolist(),
+], ids=["jordan", "underflow-2", "underflow-40"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_perron_value_reducible_still_misses(sub):
+    for perron in (perron_value, ref_perron_value):
+        with pytest.raises(NonConvergence):
+            perron(sub)
 
 
 class TestCyclicity:
@@ -567,6 +639,95 @@ def test_path_class_matches_networkx_reference(sys):
     for cb in range(len(dag.components)):
         nodes = set(nx.ancestors(h, cb)) | {cb}
         assert spectral._path_class(dag, cb) == _ref_path_class(dag, nodes, cb)
+
+
+# --- one path class per component against one per target letter -------------
+
+def _ref_targets_class(dag, targets):
+    """_targets_class with a _path_class call per target letter: the oracle of
+    the per-component classes."""
+    live = []
+    for t in targets:
+        if t in dag.comp_of:
+            beta, total, period = spectral._path_class(dag, dag.comp_of[t])
+            if beta > 0.0:
+                live.append((t, beta, total - 1, period))
+    if not live:
+        return 0.0, 0, 1, ()
+    beta = max(p[1] for p in live)
+    achieving = [p for p in live if p[1] >= beta - spectral.ACHIEVE_RTOL * beta]
+    return (beta, max(p[2] for p in achieving), math.lcm(*(p[3] for p in achieving)),
+            tuple(p[0] for p in live))
+
+
+def _layered_system(rng, d):
+    """A prolongable system on d letters cut into blocks: cycles of 2..4 letters
+    (some with a chord), self-loops (some doubled) and cycle-free singletons.
+    Letters point forward into later blocks, except into hidden blocks, which
+    nothing points into, so their letters are unreachable. From a cycle-free
+    letter, a target reached only through cycle-free letters is eventually zero."""
+    blocks, n = [[0]], 1
+    while n < d:
+        size = min(d - n, rng.choice([1, 1, 2, 3, 4]))
+        blocks.append(list(range(n, n + size)))
+        n += size
+    hidden = {bi for bi in range(1, len(blocks) - 1) if rng.random() < 0.2}
+    images = {}
+    for bi, block in enumerate(blocks):
+        later = [u for bj in range(bi + 1, len(blocks)) if bj not in hidden for u in blocks[bj]]
+        free = len(block) == 1 and bi and later and rng.random() < 0.4
+        for j, u in enumerate(block):
+            own = [] if free else [block[(j + 1) % len(block)]] * rng.choice([1, 1, 2])
+            if len(block) > 2 and rng.random() < 0.3:
+                own.append(rng.choice(block))
+            out = rng.sample(later, min(len(later), rng.randint(0 if own else 1, 3)))
+            images[u] = own + out
+    if len(images[0]) == 1:  # x0 -> x0 ... must be prolongable
+        images[0].append(0)
+    ids = [f"x{i}" for i in range(d)]
+    symbols = [str(i) for i in range(rng.randint(1, 4))]
+    coding = {a: rng.choice(symbols) for a in ids}
+    return make_system(ids, {ids[u]: [ids[v] for v in img] for u, img in images.items()},
+                       "x0", coding)
+
+
+def _layered_systems():
+    rng = random.Random(32)
+    for d in (*range(2, 65), *(rng.randint(2, 64) for _ in range(40))):
+        yield _layered_system(rng, d)
+
+
+def test_targets_class_matches_per_letter_reference():
+    rng = random.Random(64)
+    seen = {"components": 0, "unreachable": 0, "eventually_zero": 0}
+    for sys in _layered_systems():
+        m = sys.morphism
+        for source in {0, *rng.sample(range(m.d), min(m.d, 6))}:
+            dag = scc_dag(m, source)
+            seen["components"] += len(dag.components) > 2
+            seen["unreachable"] += len(dag.comp_of) < m.d
+            target_sets = [(t,) for t in range(m.d)]
+            target_sets += [sys.letters_for(sym) for sym in sys.symbols()]
+            target_sets += [tuple(range(m.d)), tuple(reversed(range(m.d)))]
+            classes = {}
+            for targets in target_sets:
+                want = _ref_targets_class(dag, targets)
+                assert spectral._targets_class(dag, targets) == want, (m, source, targets)
+                assert spectral._targets_class(dag, targets, classes) == want
+                seen["eventually_zero"] += any(t in dag.comp_of and t not in want[3]
+                                               for t in targets)
+    assert all(n > 50 for n in seen.values()), seen
+
+
+def test_analysis_report_matches_per_letter_reference():
+    for sys in _layered_systems():
+        dag = scc_dag(sys.morphism, sys.start)
+        want = {}
+        for sym in sys.symbols():
+            beta, deg, _, live = _ref_targets_class(dag, sys.letters_for(sym))
+            want[sym] = {"beta": beta, "m": deg, "eventually_zero": not live}
+        got = analysis_report(sys)["letter_growth"]
+        assert list(got.items()) == list(want.items()), sys.morphism
 
 
 # --- the G fit, jumping by M^T, against the 20T-step walk ---------------------
