@@ -1,8 +1,8 @@
 """Incidence matrices, exact letter counts via matrix powers, growth classes.
 
 Growth classes are computed combinatorially from the condensation DAG of the
-letter-dependency digraph (per-component Perron values + longest-path DP),
-never from Jordan forms.
+letter-dependency digraph (per-component Perron values, then one pass down it
+from the root), never from Jordan forms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _letter_index, _level_rows, _reached_images
+from .words import Morphism, MorphicSystem, _length, _letter_index, _level_rows, _reached_images
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12
@@ -61,8 +61,7 @@ def _mat_pow(entries, k: int) -> np.ndarray:
 
 def matrix_power_count(M: IncidenceMatrix, k: int, source: int, target: int) -> int:
     """Exact |phi^k(a_source)|_{a_target} by repeated-squaring matrix power."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    k = _length(k, "k")
     _check_indices(M.d, source, target)
     return _mat_pow(M.entries, k)[target, source]
 
@@ -106,18 +105,21 @@ def perron_value(sub: Sequence[Sequence[float]]) -> float:
     # into fixed arrays. The bounds are the ends of the sorted ratios: one call
     # in place of ndarray.min and max and their wrappers. Sorting puts NaN
     # last, so a NaN ratio (0/0 once an entry of x underflows) keeps hi NaN
-    # and the bounds open, as it keeps ndarray.max NaN. The calls are bound
-    # once: on at most 64 entries, lookups are a share of each iteration
+    # and the bounds open, as it keeps ndarray.max NaN. An entry that
+    # underflows while what feeds it does not gives an inf ratio, which keeps
+    # them open too. Both are expected, so they do not warn. The calls are
+    # bound once: on at most 64 entries, lookups are a share of each iteration
     matmul, divide, total = np.matmul, np.divide, np.add.reduce
     sort, item = ratios.sort, ratios.item
-    for _ in range(PERRON_MAX_ITER):
-        matmul(b, x, y)
-        divide(y, x, ratios)
-        sort()
-        lo, hi = item(0), item(-1)
-        if hi - lo <= PERRON_TOL * hi:
-            return 0.5 * (lo + hi) - 1.0
-        divide(y, total(y), x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(PERRON_MAX_ITER):
+            matmul(b, x, y)
+            divide(y, x, ratios)
+            sort()
+            lo, hi = item(0), item(-1)
+            if hi - lo <= PERRON_TOL * hi < math.inf:
+                return 0.5 * (lo + hi) - 1.0
+            divide(y, total(y), x)
     raise NonConvergence(
         f"power iteration missed tolerance {PERRON_TOL} after {PERRON_MAX_ITER} iterations"
     )
@@ -204,13 +206,29 @@ class LetterGrowthClass:
     eventually_zero: bool
 
 
-def _path_class(dag: ComponentDag, sink: int | None):
-    """(value, poly degree + 1, T) of the dominant chains from the root.
+def _word_class(classes: Sequence[tuple[float, int, int]]) -> tuple[float, int, int]:
+    """The dominant (value, weight, T) of a set of chain classes: the largest
+    value, the most weight among the classes that achieve it, and the lcm of
+    the periods of those that carry that most. Over all _sink_classes of a
+    DAG this is the word's (alpha, l + 1, T)."""
+    value = max(c[0] for c in classes)
+    tops = [c for c in classes if c[0] >= value - ACHIEVE_RTOL * value]
+    most = max(c[1] for c in tops)
+    return value, most, math.lcm(*(c[2] for c in tops if c[1] == most))
 
-    Longest-path DP over the components that reach `sink` (all components
-    when `sink` is None), where a component weighs 1 iff its Perron value
-    achieves the max over them and 0 elsewhere; T is the lcm of cyclicities
-    of achieving components that lie on at least one maximizing path.
+
+def _sink_classes(dag: ComponentDag) -> list[tuple[float, int, int]]:
+    """(value, poly degree + 1, T) of the dominant root..u chains, per component u.
+
+    value is the largest Perron value on a root..u path; a component weighs 1
+    iff its Perron value achieves it, and degree + 1 is the most weight on one
+    root..u path; T is the lcm of cyclicities of the achieving components on
+    the paths that carry that most. One pass from the root: u takes the
+    _word_class of its predecessors' classes and its own weight-0 chain, so a
+    predecessor whose value misses u's adds no weight, then adds its own.
+    A predecessor within ACHIEVE_RTOL below u's value brings the weight it
+    counted against its own value, which may include a component that misses
+    u's: the tolerance is not transitive (ROADMAP item 6).
     """
     comps = dag.components
     succ: list[list[int]] = [[] for _ in comps]
@@ -218,39 +236,22 @@ def _path_class(dag: ComponentDag, sink: int | None):
     for u, v in dag.edges:
         succ[u].append(v)
         pred[v].append(u)
-    # each component after all it reaches: it joins once its last successor has
-    left = [len(s) for s in succ]
-    order = [u for u, n in enumerate(left) if not n]
+    # each component after all that reach it: it joins once its last predecessor has
+    left = [len(p) for p in pred]
+    order = [dag.root_component]
     for u in order:
-        for p in pred[u]:
-            left[p] -= 1
-            if not left[p]:
-                order.append(p)
-
-    reaches = [sink is None or u == sink for u in range(len(comps))]
-    for u in order:
-        reaches[u] = reaches[u] or any(reaches[v] for v in succ[u])
-    value = max(c.rho for c, r in zip(comps, reaches) if r)
-    weight = [int(r and c.rho >= value - ACHIEVE_RTOL * value) for c, r in zip(comps, reaches)]
-    best = [0] * len(comps)  # best weight of a path starting at u
-    for u in order:
-        best[u] = weight[u] + max((best[v] for v in succ[u]), default=0)
-
-    # a component is on a maximizing path iff the root reaches it along edges
-    # u -> v with best[u] == weight[u] + best[v]. A component that misses the
-    # sink weighs 0, and so does all it reaches, so paths through it change
-    # neither best nor the period
-    root = dag.root_component
-    on_max = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
         for v in succ[u]:
-            if v not in on_max and best[u] == weight[u] + best[v]:
-                on_max.add(v)
-                stack.append(v)
-    period = math.lcm(*(comps[u].cyclicity for u in on_max if weight[u]))
-    return value, best[root], period
+            left[v] -= 1
+            if not left[v]:
+                order.append(v)
+    classes: list = [None] * len(comps)
+    for u in order:
+        comp = comps[u]
+        value, most, period = _word_class([(comp.rho, 0, 1), *(classes[p] for p in pred[u])])
+        if comp.rho >= value - ACHIEVE_RTOL * value:
+            most, period = most + 1, math.lcm(period, comp.cyclicity)
+        classes[u] = value, most, period
+    return classes
 
 
 def _fit_constant(
@@ -295,19 +296,16 @@ def _fit_constant(
 
 def growth_class(m: Morphism, a) -> GrowthClass:
     """Constructive (alpha, l, T) for |phi^k(a)|, plus a fitted G estimate."""
-    alpha, total, period = _path_class(scc_dag(m, a), None)
+    alpha, total, period = _word_class(_sink_classes(scc_dag(m, a)))
     G = _fit_constant(m, _letter_index(m, a), None, alpha, total - 1, period)
     return GrowthClass(alpha, total - 1, period, G)
 
 
 def _targets_class(
-    dag: ComponentDag, targets, classes: dict | None = None
+    dag: ComponentDag, classes: list[tuple[float, int, int]], targets
 ) -> tuple[float, int, int, tuple[int, ...]]:
-    """(beta, m, T, live targets) for the summed counts of `targets` in phi^k(root).
-
-    A target's class is its component's _path_class, taken once per component
-    from `classes` (component -> class), which is filled as classes are
-    computed, so calls over several target sets of one DAG can share it.
+    """(beta, m, T, live targets) for the summed counts of `targets` in phi^k(root),
+    from their components' entries of `classes`, the DAG's _sink_classes.
 
     A target is eventually zero, and not live, iff it is unreachable or the
     largest Perron value on its root..target paths is 0. A component with a
@@ -317,15 +315,11 @@ def _targets_class(
     counts vanish for k >= d, while a cycle can be pumped into occurrences
     for infinitely many k. With no live target the class is (0.0, 0, 1, ()).
     """
-    if classes is None:
-        classes = {}
     live = []  # (target, beta, m, T) of the targets that are not eventually zero
     for t in targets:
         c = dag.comp_of.get(t)
         if c is None:
             continue
-        if c not in classes:
-            classes[c] = _path_class(dag, c)
         beta, total, period = classes[c]
         if beta > 0.0:
             live.append((t, beta, total - 1, period))
@@ -340,7 +334,8 @@ def _targets_class(
 
 def _targets_growth_class(m: Morphism, src: int, targets) -> LetterGrowthClass:
     """The class of the summed `targets` counts in phi^k(src), with its G' fit."""
-    beta, deg, period, live = _targets_class(scc_dag(m, src), targets)
+    dag = scc_dag(m, src)
+    beta, deg, period, live = _targets_class(dag, _sink_classes(dag), targets)
     if not live:
         return LetterGrowthClass(beta, deg, period, None, True)
     Gp = _fit_constant(m, src, live, beta, deg, period)
@@ -362,8 +357,9 @@ def _verdict_classes(sys: MorphicSystem, symbol: str) -> tuple[GrowthClass, Lett
     from one condensation, without the G and G' fits the case analysis never
     reads."""
     dag = scc_dag(sys.morphism, sys.start)
-    alpha, total, period = _path_class(dag, None)
-    beta, deg, beta_period, live = _targets_class(dag, sys.letters_for(symbol))
+    classes = _sink_classes(dag)
+    alpha, total, period = _word_class(classes)
+    beta, deg, beta_period, live = _targets_class(dag, classes, sys.letters_for(symbol))
     return (
         GrowthClass(alpha, total - 1, period, None),
         LetterGrowthClass(beta, deg, beta_period, None, not live),
@@ -375,7 +371,8 @@ def analysis_report(sys: MorphicSystem) -> dict:
     m = sys.morphism
     M = incidence_matrix(m)
     dag = scc_dag(m, sys.start)
-    alpha, total, period = _path_class(dag, None)
+    classes = _sink_classes(dag)
+    alpha, total, period = _word_class(classes)
     ids = m.alphabet.letters
     components = [
         {
@@ -385,9 +382,9 @@ def analysis_report(sys: MorphicSystem) -> dict:
         }
         for comp in dag.components
     ]
-    letter_growth, classes = {}, {}
+    letter_growth = {}
     for sym in sys.symbols():
-        beta, deg, _, live = _targets_class(dag, sys.letters_for(sym), classes)
+        beta, deg, _, live = _targets_class(dag, classes, sys.letters_for(sym))
         letter_growth[sym] = {"beta": beta, "m": deg, "eventually_zero": not live}
     # one str call per distinct entry: a matrix holds a few small counts d^2 times
     text = {e: str(e) for e in set().union(*M.entries)}

@@ -7,6 +7,7 @@ alphabets at 256 letters; public entry points accept letter identifiers
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -286,8 +287,7 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     The lengths and the squared tables walk _reached_images from w, so the
     letters w never reaches have lengths 0 and empty entries.
     """
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    k = _length(k, "k")
     if len(w) and max(w) >= m.d:
         raise ValidationError("word uses an out-of-range letter index")
     if k == 0 or not w:
@@ -368,11 +368,21 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
         block = image
 
 
+def _length(n, name: str) -> int:
+    """n as an int, by operator.index as numtheory takes its checkpoints:
+    DomainError unless n is an integer >= 0."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} {n!r} is not an integer") from None
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0")
+    return n
+
+
 def fixed_point_stream(sys: MorphicSystem, n: int) -> list[str]:
     """First n output symbols of psi(lim phi^i(b)). Prefix-stable in n."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    data = b"".join(_prefix_blocks(sys, n))
+    data = b"".join(_prefix_blocks(sys, _length(n, "n")))
     table = _symbol_table(sys.coding)
     if table is None:
         coding = sys.coding
@@ -390,8 +400,7 @@ def _symbol_table(coding: Sequence[str], zero: int = 0) -> bytes | None:
 
 def count_in_prefix(sys: MorphicSystem, symbol: str, n: int) -> int:
     """Occurrences of symbol among the first n output symbols."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = _length(n, "n")
     return _prefix_counts(sys, sys.letters_for(symbol), [n])[0]
 
 
@@ -400,8 +409,8 @@ def prefix_count_series(
 ) -> list[tuple[int, int]]:
     """(n, count) at several prefix lengths, in the order given."""
     targets = sys.letters_for(symbol)
-    if any(n < 0 for n in checkpoints):
-        raise DomainError("prefix lengths must be >= 0")
+    for n in checkpoints:
+        _length(n, "prefix length")
     return list(zip(checkpoints, _prefix_counts(sys, targets, checkpoints)))
 
 

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import accumulate, islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -253,6 +254,13 @@ class TestIterate:
         with pytest.raises(ValidationError):
             iterate(m, b"\x05", 1)
 
+    def test_levels_are_integers(self, tm):
+        m = tm.morphism
+        for k in (2.0, 2.5, "2"):
+            with pytest.raises(DomainError, match="is not an integer"):
+                iterate(m, b"\x00", k)
+        assert iterate(m, b"\x00", np.int64(2)) == iterate(m, b"\x00", 2)
+
     @pytest.mark.parametrize("m, k", [
         (thue_morse().morphism, 20),
         (column().morphism, 10**4),
@@ -389,6 +397,12 @@ class TestFixedPointStream:
         with pytest.raises(DomainError):
             fixed_point_stream(tm, -1)
 
+    def test_lengths_are_integers(self, tm):
+        for n in (3.5, 3.0, "3"):
+            with pytest.raises(DomainError, match="is not an integer"):
+                fixed_point_stream(tm, n)
+        assert fixed_point_stream(tm, np.int64(3)) == fixed_point_stream(tm, 3)
+
     def test_agrees_with_iterate(self, fib):
         # the stream is the limit of the iterates, so any phi^k(b) is a prefix
         word = iterate(fib.morphism, b"\x00", 7)
@@ -409,6 +423,19 @@ class TestCounting:
             count_in_prefix(tm, "z", 4)
         with pytest.raises(DomainError):
             count_in_prefix(tm, "1", -1)
+
+    def test_count_lengths_are_integers(self, tm):
+        # column's count descends from a table past 10^5 letters
+        for sys, symbol, n in ((tm, "1", 10.5), (tm, "1", 10.0), (column(), "b", 10**5 + 0.5)):
+            with pytest.raises(DomainError, match="is not an integer"):
+                count_in_prefix(sys, symbol, n)
+        assert count_in_prefix(tm, "1", np.int64(10)) == count_in_prefix(tm, "1", 10) == 5
+
+    def test_series_lengths_are_integers(self, tm):
+        for cps in ([10.5, 3], [3, 10.0], [4, "8"]):
+            with pytest.raises(DomainError, match="is not an integer"):
+                prefix_count_series(tm, "1", cps)
+        assert prefix_count_series(tm, "1", [np.int64(10), 3]) == [(10, 5), (3, 2)]
 
     def test_prefix_count_series(self, tm):
         got = prefix_count_series(tm, "1", [0, 1, 4, 8, 16])
