@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numtheory, spectral, words
-from .errors import DomainError, UnknownSource
+from .errors import DomainError, UnknownSource, _length
 from .numtheory import _values
 
 CASE_BETA_LT_ALPHA = "BETA_LT_ALPHA"
@@ -396,8 +396,7 @@ def select_model(
 
 def _dense_end(n0: int, ratio: float) -> int:
     """Check a schedule; up to the value returned its floors hit every integer."""
-    if n0 < 1:
-        raise DomainError("n0 must be >= 1")
+    _length(n0, "n0", 1)
     if not ratio > 1.0:  # also rejects NaN
         raise DomainError("ratio must be > 1")
     # below it a step adds less than 1 to the computed n0 * ratio^j: 2^-49
@@ -609,16 +608,17 @@ def certify_nonmorphic(source: str, config: CertifyConfig | None = None) -> Cert
     """Full pipeline: checkpoint counts from the source, the rule's decision on
     them, and for a morphic source the case verdict."""
     config = config or CertifyConfig()
+    max_n = _length(config.max_n, "max_n")  # before the source, so every kind refuses alike
     src = resolve_source(source, config.symbol)
     if src.system is None:  # a sieve counts on the grid N0 * RATIO^j
-        cps = geometric_checkpoints(N0, RATIO, config.max_n)
-        pairs = src.sieve_counts(config.max_n, cps, config.mem_budget).entries
+        cps = geometric_checkpoints(N0, RATIO, max_n)
+        pairs = src.sieve_counts(max_n, cps, config.mem_budget).entries
         ns, counts = pairs.first, pairs.counts
         levels = None
     else:  # a morphic word at every N_k, with k as its level
         rows = spectral.incidence_matrix(src.system.morphism).entries
         targets = src.system.letters_for(src.symbol)
-        ns, counts = _level_counts(rows, src.system.start, targets, config.max_n, config.mem_budget)
+        ns, counts = _level_counts(rows, src.system.start, targets, max_n, config.mem_budget)
         levels = np.arange(len(ns))
     decision = decide(ns, counts, levels)
     gamma = decision.logdamped.gamma if decision.logdamped is not None else math.nan

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all morphcert modules."""
+"""Exception hierarchy shared by all morphcert modules, and the one reader of a size."""
+
+import operator
 
 
 class MorphcertError(Exception):
@@ -31,3 +33,18 @@ class NonConvergence(MorphcertError):
 
 class UnknownSymbol(MorphcertError):
     """Requested output symbol is not in the coding's range."""
+
+
+def _length(n, name: str, least: int = 0) -> int:
+    """n as an int, the one reading of every size, level and count argument:
+    operator.index, so numpy ints pass and floats do not, with bools refused;
+    DomainError unless n is an integer >= least."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} {n} is not an integer") from None
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}")
+    return n

@@ -23,13 +23,12 @@ blocks of (p, q) rows and takes gcds only where the bits disagree.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _length
 
 KIND_S2_ADDITIVE = "s2_additive"
 KIND_S2_MULTIPLICATIVE = "s2_multiplicative"
@@ -151,7 +150,7 @@ class SieveTable:
     def bit(self, n: int) -> int:
         if not 0 <= n <= self.limit:
             raise DomainError(f"n = {n} outside table range 0..{self.limit}")
-        return int(self.bits[n])
+        return int(self.bits[_length(n, "n")])
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -335,8 +334,7 @@ def _quarter_segments(T: int):
 
 def _sieve_s2(N: int, x0: int, kind: str, mem_budget: int) -> SieveTable:
     """bit(n) = 1 iff n = x^2 + y^2 for some x0 <= x <= y, by additive marking."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    N = _length(N, "N")
     _check_budget(_s2_charge(N), mem_budget, f"{kind} sieve")
     bits = np.empty(N + 1, dtype=np.uint8)
     for lo, seg in _s2_segments(N, x0):
@@ -363,8 +361,7 @@ def sieve_s2_multiplicative(N: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> S
     into its 2-adic classes. Level j of a slice at lo starts at
     (4 lo + 1) 2^j and steps by 4 * 2^j; n = 0 is a member, the rest are 0.
     """
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    N = _length(N, "N")
     _check_budget(_multiplicative_charge(N), mem_budget, "multiplicative s2 sieve")
     bits = np.zeros(N + 1, dtype=np.uint8)
     bits[0] = 1
@@ -385,12 +382,7 @@ def _count_checkpoints(limit: int, checkpoints: Sequence[int], fill) -> CountSer
         bad = next((N for N in checkpoints if not 0 <= N <= limit), None)
         if bad is not None:
             raise DomainError(f"checkpoint {bad} outside table range 0..{limit}")
-        for N in checkpoints:
-            try:
-                operator.index(N)
-            except TypeError:
-                raise DomainError(f"checkpoint {N} is not an integer") from None
-        want = np.array(checkpoints, dtype=np.int64)
+        want = np.array([_length(N, "checkpoint") for N in checkpoints], dtype=np.int64)
     order = np.argsort(want, kind="stable")
     todo = want[order]
     counts = np.zeros_like(todo)
@@ -471,8 +463,7 @@ def _subtract_plain_squares(todo: np.ndarray, counts: np.ndarray) -> None:
 
 def _count_s2(N: int, checkpoints: Sequence[int], nonzero: bool, kind: str,
               mem_budget: int) -> CountSeries:
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    N = _length(N, "N")
     _check_budget(_s2_count_charge(N), mem_budget, f"{kind} counts")
 
     def fill(todo, counts):
@@ -541,8 +532,7 @@ def lr_euler_product(P: int, *, mem_budget: int = DEFAULT_MEM_BYTES) -> LrEstima
     tail_bound = exp(1/(P-1)) - 1 is a sound relative bound for the omitted
     factors: -0.5 ln(1-x) <= x for x <= 1/2 and sum_{p > P} p^-2 <= 1/(P-1).
     """
-    if P < 2:
-        raise DomainError("P must be >= 2")
+    P = _length(P, "P", 2)
     _check_budget(_euler_charge(P), mem_budget, "euler product prime sieve")
     f = np.flatnonzero(_prime_mask(P)[1::2]).astype(np.float64)
     # f = p, then 1 - p^-2 in place, rounding each step as 1.0 - 1.0 / (p * p)
@@ -564,8 +554,7 @@ def diff_bound_check(
 
     Returns (first violating n or None, max difference observed).
     """
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    N = _length(N, "N")
     _check_budget(_diff_charge(N), mem_budget, "difference bound check")
     # B - B' moves only where the two byte maps differ; between those points
     # |B - B'| is constant and floor(sqrt(n)) + 1 never falls, so the first
@@ -598,8 +587,7 @@ def multiplicativity_check(table: SieveTable, bound: int) -> tuple[int, int] | N
     The pairs are scanned in blocks of rows p, about _BLOCK pairs each, and
     gcds are taken only on the pairs whose bits disagree.
     """
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+    bound = _length(bound, "bound", 1)
     if bound * bound > table.limit:
         raise DomainError("bound^2 exceeds the table limit")
     bits = table.bits

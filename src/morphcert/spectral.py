@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from .errors import DomainError, NonConvergence, ResourceError
-from .words import Morphism, MorphicSystem, _length, _letter_index, _level_rows, _reached_images
+from .errors import DomainError, NonConvergence, ResourceError, _length
+from .words import Morphism, MorphicSystem, _letter_index, _level_rows, _reached_images
 
 MAX_DIM = 64
 PERRON_TOL = 1e-12

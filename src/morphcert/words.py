@@ -7,7 +7,6 @@ alphabets at 256 letters; public entry points accept letter identifiers
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -15,11 +14,11 @@ from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    DomainError,
     ParseError,
     ResourceError,
     UnknownSymbol,
     ValidationError,
+    _length,
 )
 
 Word = bytes
@@ -287,7 +286,7 @@ def iterate(m: Morphism, w: Word, k: int, *, max_len: int = DEFAULT_ITERATE_CAP)
     The lengths and the squared tables walk _reached_images from w, so the
     letters w never reaches have lengths 0 and empty entries.
     """
-    k = _length(k, "k")
+    k, max_len = _length(k, "k"), _length(max_len, "max_len")
     if len(w) and max(w) >= m.d:
         raise ValidationError("word uses an out-of-range letter index")
     if k == 0 or not w:
@@ -368,18 +367,6 @@ def _prefix_blocks(sys: MorphicSystem, n: int) -> Iterator[Word]:
         block = image
 
 
-def _length(n, name: str) -> int:
-    """n as an int, by operator.index as numtheory takes its checkpoints:
-    DomainError unless n is an integer >= 0."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{name} {n!r} is not an integer") from None
-    if n < 0:
-        raise DomainError(f"{name} must be >= 0")
-    return n
-
-
 def fixed_point_stream(sys: MorphicSystem, n: int) -> list[str]:
     """First n output symbols of psi(lim phi^i(b)). Prefix-stable in n."""
     data = b"".join(_prefix_blocks(sys, _length(n, "n")))
@@ -409,9 +396,8 @@ def prefix_count_series(
 ) -> list[tuple[int, int]]:
     """(n, count) at several prefix lengths, in the order given."""
     targets = sys.letters_for(symbol)
-    for n in checkpoints:
-        _length(n, "prefix length")
-    return list(zip(checkpoints, _prefix_counts(sys, targets, checkpoints)))
+    ns = [_length(n, "prefix length") for n in checkpoints]
+    return list(zip(ns, _prefix_counts(sys, targets, ns)))
 
 
 # The level tables of _prefix_counts stop at 20 MiB. A level of d letters is

@@ -404,6 +404,16 @@ class TestCertifyPipeline:
         with pytest.raises(DomainError):
             certify_nonmorphic("collatz")
 
+    def test_every_source_refuses_max_n_alike(self):
+        # read before the source resolves, so even an unknown kind names
+        # max_n; a morphic source once printed an inconclusive report at -5
+        # and a 26-level one at 2.5e5
+        for source in ("s2", "s2nz", f"morphic:{MORPHISM_DIR / 'fibonacci.morph'}", "collatz"):
+            for max_n, message in ((-5, "max_n must be >= 0"),
+                                   (2.5e5, "max_n 250000.0 is not an integer")):
+                with pytest.raises(DomainError, match=message):
+                    certify_nonmorphic(source, CertifyConfig(max_n=max_n))
+
     def test_symbol_with_sieve_source(self):
         with pytest.raises(DomainError):
             certify_nonmorphic("s2", CertifyConfig(max_n=100, symbol="1"))

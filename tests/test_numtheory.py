@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphcert import numtheory
-from morphcert.certify import geometric_checkpoints
+from morphcert.certify import CertificateReport, CertifyConfig, certify_nonmorphic, geometric_checkpoints
 from morphcert.errors import DomainError, ResourceError
 from morphcert.numtheory import (
     _BLOCK,
@@ -28,7 +29,7 @@ from morphcert.numtheory import (
     sieve_s2_nonzero,
 )
 
-from conftest import ref_quarter_segments
+from conftest import MORPHISM_DIR, ref_quarter_segments
 
 # 0.76422365358922066 is the Landau-Ramanujan constant (OEIS A064533)
 LR_CONSTANT = 0.76422365358922066
@@ -113,6 +114,9 @@ class TestSieves:
             table.bit(11)
         with pytest.raises(DomainError):
             table.bit(-1)
+        for n in (2.0, True):
+            with pytest.raises(DomainError, match="is not an integer"):
+                table.bit(n)
 
     def test_rejects_negative_limit(self):
         for build in (sieve_s2_additive, sieve_s2_nonzero, sieve_s2_multiplicative):
@@ -363,6 +367,53 @@ def test_streamed_counts_reject_like_count_series():
             count(-1, [])
         with pytest.raises(ResourceError):
             count(10**7, [10], mem_budget=1024)
+
+
+def _plain(out):
+    """A result as comparable bytes, with the types of its numbers shown."""
+    if isinstance(out, SieveTable):
+        return repr(out.limit), out.bits.tobytes(), out.kind
+    if isinstance(out, CertificateReport):
+        return json.dumps(out.to_json_dict())
+    return repr(out)
+
+
+_FIB = f"morphic:{MORPHISM_DIR / 'fibonacci.morph'}"
+
+
+@pytest.mark.parametrize("name, call, valid", [
+    pytest.param("N", sieve_s2_additive, 100, id="sieve_s2_additive"),
+    pytest.param("N", sieve_s2_nonzero, 100, id="sieve_s2_nonzero"),
+    pytest.param("N", sieve_s2_multiplicative, 100, id="sieve_s2_multiplicative"),
+    pytest.param("N", lambda N: count_s2_additive(N, [10, 50]), 100, id="count_s2_additive"),
+    pytest.param("N", lambda N: count_s2_nonzero(N, [10, 50]), 100, id="count_s2_nonzero"),
+    pytest.param("N", diff_bound_check, 100, id="diff_bound_check"),
+    pytest.param("P", lr_euler_product, 1000, id="lr_euler_product"),
+    pytest.param("bound", lambda bound: multiplicativity_check(sieve_s2_additive(100), bound),
+                 10, id="multiplicativity_check"),
+    pytest.param("n", lambda n: sieve_s2_additive(100).bit(n), 50, id="bit"),
+    pytest.param("checkpoint", lambda n: count_series(sieve_s2_additive(100), [n]), 50,
+                 id="count_series-checkpoint"),
+    pytest.param("checkpoint", lambda n: count_s2_additive(100, [n]), 50,
+                 id="count_s2_additive-checkpoint"),
+    pytest.param("checkpoint", lambda n: count_s2_nonzero(100, [n]), 50,
+                 id="count_s2_nonzero-checkpoint"),
+    pytest.param("n0", lambda n0: geometric_checkpoints(n0, 2.0, 100), 3, id="geometric_checkpoints"),
+    pytest.param("max_n", lambda N: certify_nonmorphic("s2", CertifyConfig(max_n=N)), 2**14,
+                 id="certify-s2"),
+    pytest.param("max_n", lambda N: certify_nonmorphic("s2nz", CertifyConfig(max_n=N)), 2**14,
+                 id="certify-s2nz"),
+    pytest.param("max_n", lambda N: certify_nonmorphic(_FIB, CertifyConfig(max_n=N)), 2**14,
+                 id="certify-morphic"),
+])
+def test_sizes_are_integers(name, call, valid):
+    # floats, bools and values below the floor are refused by name, out of
+    # range first for a table's n and checkpoints; numpy ints read as ints
+    for bad in (1e4, 2.5, True, -1):
+        with pytest.raises(DomainError) as got:
+            call(bad)
+        assert str(got.value).startswith(f"{name} "), (bad, str(got.value))
+    assert _plain(call(np.int64(valid))) == _plain(call(valid))
 
 
 class TestIsqrt:

@@ -120,7 +120,7 @@ class TestMatrixPowerCount:
 
     def test_levels_are_integers(self):
         tm = incidence_matrix(thue_morse().morphism)
-        for k in (2.0, 2.5, "2"):
+        for k in (2.0, 2.5, "2", True):
             with pytest.raises(DomainError, match="is not an integer"):
                 matrix_power_count(tm, k, 0, 1)
         assert matrix_power_count(tm, np.int64(3), 0, 1) == matrix_power_count(tm, 3, 0, 1) == 4

@@ -256,10 +256,12 @@ class TestIterate:
 
     def test_levels_are_integers(self, tm):
         m = tm.morphism
-        for k in (2.0, 2.5, "2"):
+        for k in (2.0, 2.5, "2", True):
             with pytest.raises(DomainError, match="is not an integer"):
                 iterate(m, b"\x00", k)
         assert iterate(m, b"\x00", np.int64(2)) == iterate(m, b"\x00", 2)
+        with pytest.raises(DomainError, match="max_len 10.5 is not an integer"):
+            iterate(m, b"\x00", 2, max_len=10.5)
 
     @pytest.mark.parametrize("m, k", [
         (thue_morse().morphism, 20),
@@ -398,7 +400,7 @@ class TestFixedPointStream:
             fixed_point_stream(tm, -1)
 
     def test_lengths_are_integers(self, tm):
-        for n in (3.5, 3.0, "3"):
+        for n in (3.5, 3.0, "3", True):
             with pytest.raises(DomainError, match="is not an integer"):
                 fixed_point_stream(tm, n)
         assert fixed_point_stream(tm, np.int64(3)) == fixed_point_stream(tm, 3)
@@ -435,6 +437,8 @@ class TestCounting:
         for cps in ([10.5, 3], [3, 10.0], [4, "8"]):
             with pytest.raises(DomainError, match="is not an integer"):
                 prefix_count_series(tm, "1", cps)
+        with pytest.raises(DomainError, match="prefix length True is not an integer"):
+            prefix_count_series(tm, "0", [True])
         assert prefix_count_series(tm, "1", [np.int64(10), 3]) == [(10, 5), (3, 2)]
 
     def test_prefix_count_series(self, tm):
